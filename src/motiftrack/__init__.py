@@ -2,9 +2,11 @@
 
 A series is z-normalized, discretized into one symbol per sliding window,
 and searched generation by generation with a population of string trackers
-that grow one symbol at a time; candidate repeats are confirmed against the
-raw data with a Euclidean threshold.  A brute-force oracle and an strace
-ingestion pipeline round out the toolkit.
+that grow one symbol at a time.  Candidate repeats are confirmed against the
+data: with r = 0 by equality of the raw values, the brute-force oracle's
+definition of an exact repeat, and with r > 0 by a Euclidean distance of at
+most r in z-normalized units.  The oracle and an strace ingestion pipeline
+round out the toolkit.
 """
 
 from .ingest import (

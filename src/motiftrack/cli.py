@@ -141,7 +141,10 @@ def _sax_or_fail(symbol_length, alphabet, series) -> SaxConfig:
     "-r",
     default=0.0,
     show_default=True,
-    help="Confirmation threshold, in z-normalized units; 0 demands exact repeats.",
+    help=(
+        "Confirmation threshold. 0 demands exact repeats: equal raw values, as the oracle "
+        "defines them. Above 0, a Euclidean distance in z-normalized units."
+    ),
 )
 @click.option("--tme/--no-tme", default=False, show_default=True, help="Trivial-match elimination.")
 @click.option("--min-length", default=40, show_default=True, help="Report motifs at least this long.")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +47,35 @@ def z_normalize(series: TimeSeries) -> NormalizedSeries:
     Uses the population standard deviation (divide by m, not m-1).  A
     constant series maps to all zeros and reports std_used = 0 rather than
     erroring; a constant run is valid input and yields a single repeated
-    symbol downstream.
+    symbol downstream.  Every finite series gives a finite mean, std and
+    values: where the direct computation overflows (magnitudes near 1e308)
+    or its squares underflow to a zero std (subnormal spreads), the series
+    is first divided by a power of two near its largest magnitude.
     """
     arr = series.values
-    mean = float(arr.mean())
-    std = float(arr.std())
-    if std == 0.0:
-        out = np.zeros_like(arr)
-    else:
-        out = (arr - mean) / std
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(arr.mean())
+        std = float(arr.std())
+        out = np.zeros_like(arr) if std == 0.0 else (arr - mean) / std
+    finite = math.isfinite(mean) and math.isfinite(std) and bool(np.all(np.isfinite(out)))
+    collapsed = std == 0.0 and arr.min() != arr.max()
+    if collapsed or not finite:
+        mean, std, out = _z_normalize_rescaled(arr)
     out.flags.writeable = False
     return NormalizedSeries(out, mean, std if std > 0.0 else 0.0)
+
+
+def _z_normalize_rescaled(arr: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """z_normalize's statistics computed on arr / 2**k, with 2**k <= max |arr| < 2**(k+1)."""
+    if arr.min() == arr.max():
+        return float(arr[0]), 0.0, np.zeros_like(arr)
+    _, exponent = np.frexp(np.abs(arr).max())
+    scale = math.ldexp(1.0, int(exponent) - 1)
+    unit = arr / scale
+    mean = float(unit.mean())
+    std = float(unit.std())
+    # |unit| reaches 1 and the series is not constant, so std is well above 0
+    return mean * scale, std * scale, (unit - mean) / std
 
 
 def euclidean_distance(x, y) -> float:

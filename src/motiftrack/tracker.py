@@ -4,8 +4,9 @@ Each generation, candidate words of g symbols (covering g*s points) are
 extracted from the symbol matrix, optionally thinned by trivial-match
 elimination, and matched against a population of string trackers.  Trackers
 matching fewer than two words die; the rest are confirmed against the
-underlying data with a Euclidean check, extended by one symbol, and the
-process repeats until the population is empty.  Confirmed repeats accumulate
+underlying data (equal raw values at r = 0, Euclidean distance within r in
+z-normalized units at r > 0), extended by one symbol, and the process
+repeats until the population is empty.  Confirmed repeats accumulate
 in a memory pool that is finally streamlined into a canonical motif set.
 
 There is no randomness anywhere in the cycle: "mutation" enumerates the
@@ -25,7 +26,9 @@ from .series import NormalizedSeries, TimeSeries, euclidean_distance, z_normaliz
 class MtaConfig:
     """Engine parameters: symbolization, match threshold r, and TME switch.
 
-    The threshold applies to distances between z-normalized subsequences.
+    A threshold of 0 demands equal raw values, the oracle's definition of an
+    exact repeat; a positive threshold bounds the Euclidean distance between
+    z-normalized subsequences.
     """
 
     sax: SaxConfig
@@ -171,20 +174,22 @@ def _find(parent: dict, x: int) -> int:
 def confirm_motifs(
     survivors: list[Tracker],
     matrix: CandidateMatrix,
-    norm: NormalizedSeries,
+    data: TimeSeries | NormalizedSeries,
     threshold: float,
 ) -> tuple[list[MemoryMotif], list[Tracker]]:
     """Check each surviving tracker's words against the underlying data.
 
-    Every unordered pair of same-text words is compared with the Euclidean
-    distance over the g*s normalized points they cover.  Accepted pairs are
-    merged into occurrence groups (chains of accepted pairs); each group of
-    two or more words becomes one memory motif.  Distinct groups can share a
-    tracker text, since different data can collide onto the same symbols; at
-    threshold 0 the groups are exactly the element-wise-equal classes.  A
-    tracker is stimulated iff at least one of its pairs was accepted.
+    At threshold 0 a tracker's starts are grouped by the bytes of the g*s
+    points they cover: equality of the values in data, which run_mta passes
+    raw, as the oracle defines an exact repeat.  At a positive threshold,
+    every unordered pair of same-text words is compared with the Euclidean
+    distance over those points (z-normalized units in run_mta), and groups
+    are chains of accepted pairs.  Each group of two or more words becomes
+    one memory motif.  Distinct groups can share a tracker text, since
+    different data can collide onto the same symbols.  A tracker is
+    stimulated iff it has at least one such group.
     """
-    values = norm.values
+    values = data.values
     span = matrix.point_span
     by_text: dict[str, list[int]] = defaultdict(list)
     for w in matrix.words:
@@ -192,20 +197,24 @@ def confirm_motifs(
     found: list[MemoryMotif] = []
     for tracker in survivors:
         starts = by_text.get(tracker.text, [])
-        parent = {x: x for x in starts}
-        for i in range(len(starts)):
-            x = starts[i]
-            for j in range(i + 1, len(starts)):
-                y = starts[j]
-                # already chained together: the pair cannot change the groups
-                if _find(parent, x) == _find(parent, y):
-                    continue
-                d = euclidean_distance(values[x : x + span], values[y : y + span])
-                if d <= threshold:
-                    parent[_find(parent, y)] = _find(parent, x)
-        groups: dict[int, list[int]] = defaultdict(list)
-        for x in starts:
-            groups[_find(parent, x)].append(x)
+        groups: dict = defaultdict(list)
+        if threshold == 0:
+            for x in starts:
+                groups[values[x : x + span].tobytes()].append(x)
+        else:
+            parent = {x: x for x in starts}
+            for i in range(len(starts)):
+                x = starts[i]
+                for j in range(i + 1, len(starts)):
+                    y = starts[j]
+                    # already chained together: the pair cannot change the groups
+                    if _find(parent, x) == _find(parent, y):
+                        continue
+                    d = euclidean_distance(values[x : x + span], values[y : y + span])
+                    if d <= threshold:
+                        parent[_find(parent, y)] = _find(parent, x)
+            for x in starts:
+                groups[_find(parent, x)].append(x)
         confirmed = sorted((sorted(g) for g in groups.values() if len(g) >= 2), key=lambda g: g[0])
         for occ in confirmed:
             found.append(MemoryMotif(tracker.text, span, tuple(occ)))
@@ -284,6 +293,8 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
         raise ValueError("series shorter than symbol length")
     norm = z_normalize(series)
     matrix = build_symbol_matrix(norm, config.sax)
+    # exact repeats are equal raw values; threshold distances are z-normalized
+    data = series if config.match_threshold == 0 else norm
     population = init_trackers(config.sax.alphabet_size)
     template: MutationTemplate | None = None
     pool: list[MemoryMotif] = []
@@ -296,7 +307,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
         population = eliminate_unmatched(population)
         if not population:
             break
-        found, population = confirm_motifs(population, candidates, norm, config.match_threshold)
+        found, population = confirm_motifs(population, candidates, data, config.match_threshold)
         population = eliminate_unconfirmed(population)
         pool.extend(found)
         if generation == 1:

@@ -46,6 +46,26 @@ class TestParse:
         assert calls == []
         assert (total, skipped) == (4, 4)
 
+    def test_pid_prefix_counts_as_call(self):
+        # `strace -f` without -ff prefixes the lines of child processes
+        text = (
+            '[pid  4242] read(3, "x", 1) = 1\n'
+            '[pid  4243] write(1, "y", 1) = 1\n'
+            'open("/a", O_RDONLY) = 3\n'
+        )
+        calls, total, skipped = parse_strace_text(text)
+        assert calls == ["read", "write", "open"]
+        assert (total, skipped) == (3, 0)
+
+    def test_pid_prefixed_resumed_marker_skipped(self):
+        text = (
+            "[pid  4243] accept(3,  <unfinished ...>\n"
+            "[pid  4243] <... accept resumed> {sa_family=AF_INET}, [16]) = 4\n"
+        )
+        calls, total, skipped = parse_strace_text(text)
+        assert calls == ["accept"]
+        assert (total, skipped) == (2, 1)
+
     def test_underscore_names(self):
         calls, _, _ = parse_strace_text("_llseek(3, 0, [0], SEEK_SET) = 0\n")
         assert calls == ["_llseek"]

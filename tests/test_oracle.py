@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -49,9 +50,57 @@ class TestExactMotifs:
             brute_force_exact_motifs(TimeSeries(np.array([1.0])), 2)
 
 
+# magnitudes from subnormal to near the float maximum, plus values that only
+# differ far below the spread of a series holding them (0 vs 1e-200 beside
+# 1e6; 1e6 vs the next float beside 1e300)
+WIDE_PALETTE = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e-100, 1.0, 3.0, 1e6,
+    float(np.nextafter(1e6, np.inf)), 1e150, 1e300, -1e300, 1.5e300,
+)
+
+
+def wide_range_instances(count: int, seed: int = 20261018):
+    """Small instances drawn from a few WIDE_PALETTE values, s cycling 1-4,
+    half of them with an extra planted block copy."""
+    rng = random.Random(seed)
+    for i in range(count):
+        s = i % 4 + 1
+        a = (2, 4, 10)[i % 3]
+        m = rng.randint(12, 90)
+        pool = rng.sample(WIDE_PALETTE, rng.randint(2, 6))
+        vals = [rng.choice(pool) for _ in range(m)]
+        if i % 2:
+            length = rng.randint(s, max(s, m // 3))
+            src = rng.randrange(0, m - length + 1)
+            dst = rng.randrange(0, m - length + 1)
+            vals[dst : dst + length] = vals[src : src + length]
+        yield i, s, a, TimeSeries(np.array(vals))
+
+
 class TestEngineAgreement:
     def test_spot_instances_match_engine(self):
         for index, s, a, series in corpus_instances(count=24):
+            engine = run_mta(series, MtaConfig(SaxConfig(s, a)))
+            oracle = brute_force_exact_motifs(series, s, 1)
+            assert motif_signature(engine) == motif_signature(oracle), f"instance {index}"
+
+    def test_raw_values_equal_after_normalizing_stay_distinct(self):
+        # z-normalized, 0 and 1e-200 are the same float beside 1e6
+        series = TimeSeries(np.array([0, 1e-200, 5, 1e6, 0, 0, 7, 1e6, 3, 9, 11], dtype=float))
+        oracle = brute_force_exact_motifs(series, 2, 1)
+        assert motif_signature(oracle) == []
+        engine = run_mta(series, MtaConfig(SaxConfig(2, 4)))
+        assert motif_signature(engine) == motif_signature(oracle)
+
+    def test_values_near_float_max(self):
+        series = TimeSeries(np.array([1e308, -1e308, 3, 4, 1e308, -1e308, 5, 6, 7, 8]))
+        oracle = brute_force_exact_motifs(series, 2, 1)
+        assert motif_signature(oracle) == [(2, (0, 4))]
+        engine = run_mta(series, MtaConfig(SaxConfig(2, 4)))
+        assert motif_signature(engine) == motif_signature(oracle)
+
+    def test_wide_dynamic_range_corpus(self):
+        for index, s, a, series in wide_range_instances(count=200):
             engine = run_mta(series, MtaConfig(SaxConfig(s, a)))
             oracle = brute_force_exact_motifs(series, s, 1)
             assert motif_signature(engine) == motif_signature(oracle), f"instance {index}"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,41 @@ class TestZNormalize:
         out = z_normalize(TimeSeries(np.array([0.0])))
         assert list(out.values) == [0.0]
         assert out.std_used == 0.0
+
+    def test_near_float_max_stays_finite(self):
+        vals = np.array([1e308, -1e308, 3, 4, 1e308, -1e308, 5, 6, 7, 8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = z_normalize(TimeSeries(vals))
+        assert math.isfinite(out.mean_used)
+        assert math.isfinite(out.std_used) and out.std_used > 0.0
+        assert np.all(np.isfinite(out.values))
+        assert out.values[0] > 0.0 > out.values[1]
+        assert out.values[0] == out.values[4] and out.values[1] == out.values[5]
+
+    def test_subnormal_spread_not_collapsed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = z_normalize(TimeSeries(np.array([0.0, 5e-324, 0.0, 5e-324])))
+        assert list(out.values) == [-1.0, 1.0, -1.0, 1.0]
+
+    def test_ordinary_input_keeps_direct_bits(self):
+        arr = np.random.default_rng(7).normal(50.0, 20.0, 500)
+        out = z_normalize(TimeSeries(arr))
+        assert out.values.tobytes() == ((arr - arr.mean()) / arr.std()).tobytes()
+        assert (out.mean_used, out.std_used) == (float(arr.mean()), float(arr.std()))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_finite_for_every_finite_series(self, raw):
+        arr = np.array(raw, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = z_normalize(TimeSeries(arr))
+        assert math.isfinite(out.mean_used) and math.isfinite(out.std_used)
+        assert np.all(np.isfinite(out.values))
+        # normalization keeps the order of the points
+        order = np.argsort(arr, kind="stable")
+        assert np.all(np.diff(out.values[order]) >= 0.0)
 
     @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=60))
     def test_idempotent_on_nonconstant(self, raw):
