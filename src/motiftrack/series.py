@@ -47,35 +47,31 @@ def z_normalize(series: TimeSeries) -> NormalizedSeries:
     Uses the population standard deviation (divide by m, not m-1).  A
     constant series maps to all zeros and reports std_used = 0 rather than
     erroring; a constant run is valid input and yields a single repeated
-    symbol downstream.  Every finite series gives a finite mean, std and
-    values: where the direct computation overflows (magnitudes near 1e308)
-    or its squares underflow to a zero std (subnormal spreads), the series
-    is first divided by a power of two near its largest magnitude.
+    symbol downstream.
+
+    The statistics are computed on the series divided by 2**k, with
+    2**k <= max |x| < 2**(k+1), and scaled back.  Division by a power of two
+    is exact, so wherever no intermediate value is subnormal this gives the
+    same bits as computing on the raw values; it also keeps the mean, std
+    and values finite for every finite series, including magnitudes near
+    1e308 (whose squares overflow) and tiny spreads (whose squares
+    underflow).
     """
     arr = series.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(arr.mean())
-        std = float(arr.std())
-        out = np.zeros_like(arr) if std == 0.0 else (arr - mean) / std
-    finite = math.isfinite(mean) and math.isfinite(std) and bool(np.all(np.isfinite(out)))
-    collapsed = std == 0.0 and arr.min() != arr.max()
-    if collapsed or not finite:
-        mean, std, out = _z_normalize_rescaled(arr)
-    out.flags.writeable = False
-    return NormalizedSeries(out, mean, std if std > 0.0 else 0.0)
-
-
-def _z_normalize_rescaled(arr: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """z_normalize's statistics computed on arr / 2**k, with 2**k <= max |arr| < 2**(k+1)."""
     if arr.min() == arr.max():
-        return float(arr[0]), 0.0, np.zeros_like(arr)
-    _, exponent = np.frexp(np.abs(arr).max())
-    scale = math.ldexp(1.0, int(exponent) - 1)
-    unit = arr / scale
-    mean = float(unit.mean())
-    std = float(unit.std())
-    # |unit| reaches 1 and the series is not constant, so std is well above 0
-    return mean * scale, std * scale, (unit - mean) / std
+        out = np.zeros_like(arr)
+        mean, std = float(arr[0]), 0.0
+    else:
+        _, exponent = np.frexp(np.abs(arr).max())
+        scale = math.ldexp(1.0, int(exponent) - 1)
+        unit = arr / scale
+        unit_mean = float(unit.mean())
+        unit_std = float(unit.std())
+        # |unit| reaches 1 and the series is not constant, so unit_std is well above 0
+        out = (unit - unit_mean) / unit_std
+        mean, std = unit_mean * scale, unit_std * scale
+    out.flags.writeable = False
+    return NormalizedSeries(out, mean, std)
 
 
 def euclidean_distance(x, y) -> float:

@@ -180,8 +180,10 @@ def confirm_motifs(
     """Check each surviving tracker's words against the underlying data.
 
     At threshold 0 a tracker's starts are grouped by the bytes of the g*s
-    points they cover: equality of the values in data, which run_mta passes
-    raw, as the oracle defines an exact repeat.  At a positive threshold,
+    points they cover: equality of the values in data.  The caller must
+    pass the raw TimeSeries at threshold 0, as run_mta does, for this to be
+    the oracle's exact repeat; normalized data would compare normalized
+    bytes, which can merge distinct raw values.  At a positive threshold,
     every unordered pair of same-text words is compared with the Euclidean
     distance over those points (z-normalized units in run_mta), and groups
     are chains of accepted pairs.  Each group of two or more words becomes

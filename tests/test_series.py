@@ -65,6 +65,17 @@ class TestZNormalize:
             out = z_normalize(TimeSeries(np.array([0.0, 5e-324, 0.0, 5e-324])))
         assert list(out.values) == [-1.0, 1.0, -1.0, 1.0]
 
+    def test_tiny_spread_keeps_precision(self):
+        # the squares of a 1e-160 spread are subnormal if taken unscaled
+        out = z_normalize(TimeSeries(np.array([0.0, 1e-160, 0.0, 1e-160])))
+        assert list(out.values) == [-1.0, 1.0, -1.0, 1.0]
+
+    def test_inexact_constant_maps_to_zeros(self):
+        # the summed mean of three 0.1s is 0.10000000000000002, not 0.1
+        out = z_normalize(TimeSeries(np.array([0.1, 0.1, 0.1])))
+        assert list(out.values) == [0.0, 0.0, 0.0]
+        assert (out.mean_used, out.std_used) == (0.1, 0.0)
+
     def test_ordinary_input_keeps_direct_bits(self):
         arr = np.random.default_rng(7).normal(50.0, 20.0, 500)
         out = z_normalize(TimeSeries(arr))
