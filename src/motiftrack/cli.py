@@ -7,6 +7,7 @@ or input errors, for script composability.
 from __future__ import annotations
 
 import glob
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -153,8 +154,8 @@ def cmd_discover(series_path, symbol_length, alphabet, threshold, tme, min_lengt
     """Run the tracking engine on a series file and print the motif report."""
     series = _load_series(series_path)
     sax_config = _sax_or_fail(symbol_length, alphabet, series)
-    if threshold < 0:
-        _fail("threshold must be non-negative")
+    if math.isnan(threshold) or threshold < 0:
+        _fail("threshold must be a non-negative number")
     if min_length < 0:
         _fail("min-length must be non-negative")
     motifs = run_mta(series, MtaConfig(sax_config, threshold, tme))
@@ -313,8 +314,8 @@ def cmd_sweep(series_path, symbol_lengths, alphabets, threshold, tme_mode, min_l
     Wall times are informational only; every other column is deterministic.
     """
     series = _load_series(series_path)
-    if threshold < 0:
-        _fail("threshold must be non-negative")
+    if math.isnan(threshold) or threshold < 0:
+        _fail("threshold must be a non-negative number")
     if min_length < 0:
         _fail("min-length must be non-negative")
     if jobs < 1:

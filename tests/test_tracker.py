@@ -16,6 +16,7 @@ from motiftrack import (
     Word,
     build_candidate_matrix,
     confirm_motifs,
+    euclidean_distance,
     eliminate_unconfirmed,
     eliminate_unmatched,
     format_motif_report,
@@ -215,6 +216,43 @@ class TestConfirm:
         assert texts(population) == ["ab"]
         assert population[0].match_count == 0
         assert eliminate_unconfirmed([silent]) == []
+
+
+class TestThresholdBoundary:
+    """A pair at distance exactly r is accepted and one a float below is not.
+
+    The spans cover the edges of numpy's unrolled and pairwise-summation
+    blocks, where a sum in another order could round differently.
+    """
+
+    @pytest.mark.parametrize("span", [1, 7, 8, 9, 127, 128, 129, 300])
+    def test_distance_equal_to_r_accepted(self, span):
+        rng = np.random.default_rng(span)
+        starts = [0, span + 3, 2 * span + 5, 3 * span + 9, 4 * span + 11]
+        vals = rng.standard_normal(5 * span + 20)
+        data = normalized(vals)
+        windows = [vals[x : x + span] for x in starts]
+        # the closest pair is the only one within r = its distance
+        r, a, b = min(
+            (euclidean_distance(windows[i], windows[j]), starts[i], starts[j])
+            for i in range(len(starts))
+            for j in range(i + 1, len(starts))
+        )
+        cm = CandidateMatrix(tuple(Word("a", x) for x in starts), 1, span)
+        found, _ = confirm_motifs([Tracker("a")], cm, data, r)
+        assert motif_signature(found) == [(span, (a, b))]
+        found, _ = confirm_motifs([Tracker("a")], cm, data, float(np.nextafter(r, 0)))
+        assert found == []
+
+
+class TestMtaConfig:
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="match threshold must be a non-negative number"):
+            MtaConfig(SaxConfig(2, 4), float("nan"))
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match="match threshold must be a non-negative number"):
+            MtaConfig(SaxConfig(2, 4), -0.5)
 
 
 class TestProliferation:
