@@ -27,8 +27,8 @@ SEED = 20261018
 COUNT = 150
 SHAPES = ("random", "constant", "period", "walk", "wide")
 THRESHOLDS = (0.0, 0.5, 1.0)
-# short reprs keep the file small: 5e-324 and 1e-200 beside 1e6 differ far
-# below the spread, and -1e300 squares to inf
+# short reprs keep the file small; 5e-324 and 1e-200 beside 1e6 differ far
+# below the spread, and 1e150 and -1e300 overflow a variance taken directly
 WIDE_PALETTE = (0, 5e-324, 1e-200, 1, 3, 1e6, 1e150, -1e300)
 
 
