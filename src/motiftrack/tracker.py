@@ -6,10 +6,14 @@ elimination, and matched against a population of string trackers.  Trackers
 matching fewer than two words die; the rest are confirmed against the
 underlying data, extended by one symbol, and the process repeats until the
 population is empty.  At r = 0 confirmation groups a tracker's windows by
-equal raw values; at r > 0 it computes one vectorised row of Euclidean
-distances (z-normalized units) per start and forms single-linkage groups:
-windows chained by distances within r.  Confirmed repeats accumulate
-in a memory pool that is finally streamlined into a canonical motif set.
+equal raw values; at r > 0 it forms single-linkage groups, windows chained
+by Euclidean distances (z-normalized units) within r, for all of a
+generation's trackers at once: round t computes, for row t of every
+tracker, the distances to that tracker's later starts not yet in its group.
+Confirmed repeats accumulate in a memory pool that is finally streamlined
+into a canonical motif set; streamlining skips motifs that a longer pooled
+motif holds at every start and tests the rest only against retained motifs
+indexed by start.
 
 There is no randomness anywhere in the cycle: "mutation" enumerates the
 fixed template symbols, so identical inputs always produce identical output.
@@ -18,8 +22,10 @@ fixed template symbols, so identical inputs always produce identical output.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -184,52 +190,116 @@ def confirm_motifs(
     the oracle's exact repeat; normalized data would compare normalized
     bytes, which can merge distinct raw values.  At a positive threshold
     the groups are single-linkage: windows chained by Euclidean distances
-    (z-normalized units in run_mta) of at most the threshold.  For each
-    start in order, one numpy row holds its distances, by
-    euclidean_distance's formula, to the later starts not yet in its group,
-    and the groups of the rows within the threshold join its group.  Pairs
-    already in one group are skipped, since they cannot change the groups.
-    Memory is O(k * g*s) for a tracker's k starts.  Each group of two or
-    more words becomes one memory motif.  Distinct groups can share a
-    tracker text, since different data can collide onto the same symbols.
-    A tracker is stimulated iff it has at least one such group.
+    (z-normalized units in run_mta) of at most the threshold.  All
+    trackers are confirmed together in shared rounds: round t takes row t
+    of every tracker and computes, by euclidean_distance's formula, its
+    distances to the later starts of the same tracker not yet in its
+    group; the groups within the threshold join the row's group.  These
+    are the pairs a loop over each tracker's starts would compute, so the
+    groups are the same, in about as many rounds as the largest tracker
+    has starts.  A tracker leaves the rounds when its row finds no such
+    pair, and the windows are gathered in blocks of bounded size.  Each
+    group of two or more words becomes one memory motif.  Distinct groups
+    can share a tracker text, since different data can collide onto the
+    same symbols.  A tracker is stimulated iff it has at least one such
+    group.
     """
     values = data.values
     span = matrix.point_span
     by_text: dict[str, list[int]] = defaultdict(list)
     for w in matrix.words:
         by_text[w.text].append(w.start)
-    offsets = np.arange(span)
+    starts = [by_text.get(tracker.text, []) for tracker in survivors]
+    labels = None if threshold == 0 else _chain_labels(values, span, starts, threshold)
     found: list[MemoryMotif] = []
-    for tracker in survivors:
-        starts = by_text.get(tracker.text, [])
+    for n, (tracker, own) in enumerate(zip(survivors, starts)):
         groups: dict = defaultdict(list)
         if threshold == 0:
-            for x in starts:
+            for x in own:
                 groups[values[x : x + span].tobytes()].append(x)
-        elif starts:
-            k = len(starts)
-            windows = values[np.add.outer(starts, offsets)]
-            label = np.arange(k)
-            for i in range(k - 1):
-                # rows already chained to i cannot change the groups
-                rows = np.flatnonzero(label[i + 1 :] != label[i]) + (i + 1)
-                if not rows.size:
-                    continue
-                # euclidean_distance's formula, one row of pairs at a time
-                dist = np.sqrt(np.sum((windows[rows] - windows[i]) ** 2, axis=1))
-                near = rows[dist <= threshold]
-                if near.size:
-                    merged = np.zeros(k, dtype=bool)
-                    merged[label[near]] = True
-                    label[merged[label]] = label[i]
-            for x, root in zip(starts, label.tolist()):
+        else:
+            for x, root in zip(own, labels[n]):
                 groups[root].append(x)
         confirmed = sorted((sorted(g) for g in groups.values() if len(g) >= 2), key=lambda g: g[0])
         for occ in confirmed:
             found.append(MemoryMotif(tracker.text, span, tuple(occ)))
         tracker.match_count = 1 if confirmed else 0
     return found, survivors
+
+
+# pairs per distance block, in window elements: bounds the gathered windows
+# at a few hundred KB whatever the number and size of the trackers
+_PAIR_BLOCK = 1 << 15
+
+
+def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
+    """Whether each pair of windows (a[n], b[n]) lies within the threshold.
+
+    The distance is euclidean_distance's formula computed in place, (x - y)
+    squared and summed per row, so each decision matches that function's.
+    Pairs run in blocks of _PAIR_BLOCK window elements, bounding memory.
+    """
+    block = max(1, _PAIR_BLOCK // windows.shape[1])
+    if a.size > block:
+        return np.concatenate(
+            [_within(windows, a[lo : lo + block], b[lo : lo + block], threshold) for lo in range(0, a.size, block)]
+        )
+    diff = windows[a]
+    diff -= windows[b]
+    diff *= diff
+    return np.sqrt(np.add.reduce(diff, axis=1)) <= threshold
+
+
+def _chain_labels(values: np.ndarray, span: int, starts: list[list[int]], threshold: float):
+    """Single-linkage group labels of every tracker's starts, in shared rounds.
+
+    The trackers' starts sit side by side in one array, each tracker a
+    segment.  Round t takes row t of every live tracker at once: the row's
+    distances, by euclidean_distance's formula, to the later starts of its
+    own tracker whose group label differs from its own, so every d <= r
+    decision is the one a pairwise loop makes.  The groups of the starts
+    within the threshold join the row's group.  Pairs already in one group
+    are skipped, since they cannot change the groups.  A tracker whose row
+    finds no such pair leaves the rounds: all its later starts then share
+    the row's group, so no later row of it can find one either.  Returns
+    one list of labels per tracker; equal labels mean one group.
+    """
+    # every start after the first of its tracker, and that tracker's first position
+    firsts, pos, base = [], [], []
+    first = 0
+    for own in starts:
+        firsts.append(first)
+        pos += range(first + 1, first + len(own))
+        base += [first] * (len(own) - 1)
+        first += len(own)
+    flat = np.fromiter(chain.from_iterable(starts), dtype=np.intp)
+    label = np.arange(flat.size)
+    pos, base = np.array(pos, dtype=np.intp), np.array(base, dtype=np.intp)
+    if pos.size:
+        # every window of the series as a row of one strided view, no copy
+        values = np.ascontiguousarray(values)
+        windows = np.ndarray((values.size - span + 1, span), values.dtype, values, 0, values.strides * 2)
+    t = 0
+    while pos.size:
+        row = base + t
+        open_ = label[pos] != label[row]
+        col, row = pos[open_], row[open_]
+        if not col.size:
+            break
+        near = _within(windows, flat[col], flat[row], threshold)
+        joined = label[col[near]]
+        if joined.size:
+            target = np.arange(label.size)
+            target[joined] = label[row[near]]
+            label = target[label]
+        # trackers, by first position, whose row found a pair to compute
+        live = np.zeros(label.size, dtype=bool)
+        live[row - t] = True
+        t += 1
+        keep = (pos > base + t) & live[base]
+        pos, base = pos[keep], base[keep]
+    label = label.tolist()
+    return [label[first : first + len(own)] for first, own in zip(firsts, starts)]
 
 
 def eliminate_unconfirmed(population: list[Tracker]) -> list[Tracker]:
@@ -254,14 +324,24 @@ def proliferate_and_mutate(
     return [Tracker(t.text + sym) for t in survivors for sym in template.symbols]
 
 
+def _covers(starts: list[int], length: int, occurrences, point_length: int) -> bool:
+    """True when each [o, o + point_length) lies in some [b, b + length), b in sorted starts.
+
+    The latest start at or before o gives the interval reaching furthest
+    right, so one bisect per occurrence decides it.
+    """
+    for o in occurrences:
+        i = bisect_right(starts, o)
+        if not i or starts[i - 1] + length < o + point_length:
+            return False
+    return True
+
+
 def encapsulates(big: MemoryMotif, small: MemoryMotif) -> bool:
     """True when every occurrence interval of small lies inside one of big's."""
     if big.point_length < small.point_length:
         return False
-    return all(
-        any(b <= o and o + small.point_length <= b + big.point_length for b in big.occurrences)
-        for o in small.occurrences
-    )
+    return _covers(sorted(big.occurrences), big.point_length, small.occurrences, small.point_length)
 
 
 def streamline(pool) -> MotifSet:
@@ -272,6 +352,16 @@ def streamline(pool) -> MotifSet:
     occurrence sets first among equal lengths, so a superset is always seen
     before its subsets); the survivors form the unique maximal antichain.
     Output order is descending point length, then ascending occurrences.
+
+    Two indexes keep this from comparing all pairs.  First, a motif is
+    dropped outright when a strictly longer pooled motif has an occurrence
+    at every one of its starts (it is not right-maximal): that motif, or
+    the retained motif covering it, covers this one, so the answer is the
+    same.  Such a motif must hold the candidate's last start, so only the
+    longer motifs holding that start are tried.  Second, the retained
+    motifs' starts are kept sorted per length, and a candidate is tested
+    only against the retained motifs with an occurrence covering its first
+    interval, each with the bisect cover check of encapsulates.
     """
     unique: dict = {}
     for mot in pool:
@@ -280,13 +370,43 @@ def streamline(pool) -> MotifSet:
         unique.values(),
         key=lambda mo: (-mo.point_length, -len(mo.occurrences), mo.occurrences, mo.text),
     )
+    lasts = {max(mo.occurrences) for mo in motifs if mo.occurrences}
+    holders: dict[int, list[MemoryMotif]] = defaultdict(list)  # start -> longer motifs there
+    index: dict[int, tuple[list[int], list[int]]] = {}  # length -> retained starts, owners
+    sorted_starts: list[list[int]] = []  # per retained motif
     retained: list[MemoryMotif] = []
-    for mot in motifs:
-        if any(encapsulates(keep, mot) for keep in retained):
-            continue
-        retained.append(mot)
+    for length, same in groupby(motifs, key=lambda mo: mo.point_length):
+        same = list(same)
+        for mot in same:
+            occ = mot.occurrences
+            if occ and any(set(big.occurrences).issuperset(occ) for big in holders.get(max(occ), ())):
+                continue
+            if _covered(index, sorted_starts, mot):
+                continue
+            sorted_starts.append(sorted(occ))
+            starts, owners = index.setdefault(length, ([], []))
+            for b in sorted_starts[-1]:
+                at = bisect_right(starts, b)
+                starts.insert(at, b)
+                owners.insert(at, len(retained))
+            retained.append(mot)
+        for mot in same:
+            for b in lasts.intersection(mot.occurrences):
+                holders[b].append(mot)
     retained.sort(key=lambda mo: (-mo.point_length, mo.occurrences, mo.text))
     return MotifSet(tuple(retained))
+
+
+def _covered(index, sorted_starts, mot: MemoryMotif) -> bool:
+    """Whether a retained motif covers mot, trying only those covering its first interval."""
+    if not mot.occurrences:
+        return bool(index)
+    o, length = mot.occurrences[0], mot.point_length
+    for big_length, (starts, owners) in index.items():
+        tried = set(owners[bisect_left(starts, o + length - big_length) : bisect_right(starts, o)])
+        if any(_covers(sorted_starts[k], big_length, mot.occurrences, length) for k in tried):
+            return True
+    return False
 
 
 def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motiftrack import (
     CandidateMatrix,
@@ -15,7 +17,9 @@ from motiftrack import (
     Tracker,
     Word,
     build_candidate_matrix,
+    build_symbol_matrix,
     confirm_motifs,
+    encapsulates,
     euclidean_distance,
     eliminate_unconfirmed,
     eliminate_unmatched,
@@ -218,6 +222,78 @@ class TestConfirm:
         assert eliminate_unconfirmed([silent]) == []
 
 
+def per_tracker_confirm(names, candidates, data, r):
+    """One confirm_motifs call per tracker: the motifs and match counts in order."""
+    found, counts = [], []
+    for text in names:
+        tracker = Tracker(text)
+        own, _ = confirm_motifs([tracker], candidates, data, r)
+        found += own
+        counts.append(tracker.match_count)
+    return found, counts
+
+
+class TestConfirmSharedRounds:
+    """One confirm_motifs call over many trackers at r > 0 equals a call per tracker."""
+
+    def test_hand_built_trackers_of_one_two_three_and_fifty_starts(self):
+        # every window is a small perturbation of one shape, so windows of
+        # different trackers are within r of each other; only same-text
+        # starts may join a group
+        rng = np.random.default_rng(5)
+        span, count = 4, 56
+        vals = np.tile([0.0, 1.0, 0.0, -1.0], count) + rng.normal(0, 0.05, 4 * count)
+        vals[::12] += 3.0  # some far windows, so the large tracker has several groups
+        sizes = {"a": 1, "b": 2, "c": 3, "d": 50}
+        starts = iter(range(0, 4 * count, 4))
+        words = [Word(text, next(starts)) for text, k in sizes.items() for _ in range(k)]
+        random.Random(5).shuffle(words)
+        candidates = CandidateMatrix(tuple(words), 1, span)
+        data = normalized(vals)
+        r = 0.5
+        population = [Tracker(text) for text in sizes]
+        found, _ = confirm_motifs(population, candidates, data, r)
+        expected, counts = per_tracker_confirm(sizes, candidates, data, r)
+        assert found == expected
+        assert [t.match_count for t in population] == counts == [0, 1, 1, 1]
+        by_text = {text: {w.start for w in words if w.text == text} for text in sizes}
+        assert all(set(mo.occurrences) <= by_text[mo.text] for mo in found)
+        assert len([mo for mo in found if mo.text == "d"]) >= 2
+        # the same windows under one text chain across the trackers' starts
+        pooled = CandidateMatrix(tuple(Word("a", w.start) for w in words), 1, span)
+        merged, _ = confirm_motifs([Tracker("a")], pooled, data, r)
+        assert max(len(mo.occurrences) for mo in merged) > max(len(mo.occurrences) for mo in found)
+
+    @pytest.mark.parametrize("tme", [False, True])
+    def test_every_text_of_seeded_series(self, tme):
+        sizes_seen = set()
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            m = 200
+            if seed % 3 == 0:
+                vals = np.cumsum(rng.standard_normal(m))
+            elif seed % 3 == 1:
+                vals = np.tile(rng.standard_normal(7), m // 7 + 1)[:m] + rng.normal(0, 0.1, m)
+            else:
+                vals = np.where(rng.random(m) < 0.7, 0.0, rng.standard_normal(m))
+            s = 1 + seed % 3
+            norm = z_normalize(TimeSeries(vals))
+            matrix = build_symbol_matrix(norm, SaxConfig(s, 4))
+            for generation in (1, 2, 4):
+                candidates = build_candidate_matrix(matrix, generation, tme)
+                counted = {}
+                for w in candidates.words:
+                    counted[w.text] = counted.get(w.text, 0) + 1
+                sizes_seen.update(counted.values())
+                for r in (0.3, 1.0, 2.5):
+                    population = [Tracker(text) for text in counted]
+                    found, _ = confirm_motifs(population, candidates, norm, r)
+                    expected, counts = per_tracker_confirm(counted, candidates, norm, r)
+                    assert found == expected, (seed, generation, r)
+                    assert [t.match_count for t in population] == counts
+        assert {1, 2, 3} <= sizes_seen and max(sizes_seen) >= 50
+
+
 class TestThresholdBoundary:
     """A pair at distance exactly r is accepted and one a float below is not.
 
@@ -312,6 +388,98 @@ class TestStreamline:
         ]
         out = streamline(pool)
         assert motif_signature(out) == [(4, (100, 200)), (2, (5, 90)), (2, (30, 60))]
+
+
+def reference_covers(big, small) -> bool:
+    return big.point_length >= small.point_length and all(
+        any(b <= o and o + small.point_length <= b + big.point_length for b in big.occurrences)
+        for o in small.occurrences
+    )
+
+
+def reference_streamline(pool) -> list:
+    """streamline by its definition, comparing every pair of motifs."""
+    motifs = sorted(
+        set(pool), key=lambda mo: (-mo.point_length, -len(mo.occurrences), mo.occurrences, mo.text)
+    )
+    retained = []
+    for mot in motifs:
+        if not any(reference_covers(keep, mot) for keep in retained):
+            retained.append(mot)
+    return sorted(retained, key=lambda mo: (-mo.point_length, mo.occurrences, mo.text))
+
+
+occurrence_lists = st.lists(st.integers(0, 40), min_size=1, max_size=6)
+pool_motifs = st.builds(
+    MemoryMotif,
+    st.sampled_from(["a", "b"]),
+    st.sampled_from([1, 2, 3, 4, 6, 8, 12]),
+    st.one_of(occurrence_lists.map(lambda o: tuple(sorted(o))), occurrence_lists.map(tuple)),
+)
+
+
+@st.composite
+def pools(draw):
+    """Motifs plus copies, shortened subsets and shifted subsets of them."""
+    pool = draw(st.lists(pool_motifs, max_size=12))
+    for _ in range(draw(st.integers(0, 8)) if pool else 0):
+        base = draw(st.sampled_from(pool))
+        kept = draw(st.lists(st.sampled_from(base.occurrences), min_size=1, max_size=4))
+        shift = draw(st.integers(0, 2))
+        length = draw(st.integers(1, base.point_length))
+        text = draw(st.sampled_from([base.text, "c"]))
+        pool.append(MemoryMotif(text, length, tuple(sorted(o + shift for o in kept))))
+    return pool + draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else pool
+
+
+class TestStreamlineIndex:
+    """streamline's indexes give the all-pairs answer."""
+
+    @settings(max_examples=200)
+    @given(pools())
+    def test_matches_all_pairs_reference(self, pool):
+        assert list(streamline(pool)) == reference_streamline(pool)
+
+    @given(pool_motifs, pool_motifs)
+    def test_encapsulates_matches_reference(self, big, small):
+        unsorted = MemoryMotif(big.text, big.point_length, big.occurrences[::-1])
+        assert encapsulates(big, small) == reference_covers(big, small)
+        assert encapsulates(unsorted, small) == reference_covers(big, small)
+
+    def test_near_start_that_does_not_cover_beside_one_that_does(self):
+        # [8, 13) is not inside [0, 10) but is inside [3, 13)
+        big = MemoryMotif("a", 10, (0, 3, 40))
+        small = MemoryMotif("b", 5, (8, 44))
+        assert encapsulates(big, small)
+        assert encapsulates(MemoryMotif("a", 10, (40, 3, 0)), small)
+        assert list(streamline([big, small])) == [big]
+
+    def test_second_retained_motif_covers_after_first_fails(self):
+        # both retained motifs cover [8, 13); only the second covers [44, 49)
+        first = MemoryMotif("a", 10, (3, 100, 200))
+        second = MemoryMotif("a", 10, (5, 40))
+        small = MemoryMotif("b", 5, (8, 44))
+        assert list(streamline([small, second, first])) == [first, second]
+
+    def test_rejection_is_not_carried_to_the_next_candidate(self):
+        # the same retained motif fails one candidate and covers the next,
+        # both with the same first start
+        big = MemoryMotif("a", 10, (3, 40))
+        richer = MemoryMotif("b", 5, (8, 30, 60))
+        covered = MemoryMotif("b", 5, (8, 44))
+        pool = [covered, richer, big]
+        assert list(streamline(pool)) == reference_streamline(pool) == [big, richer]
+
+    def test_longer_motif_at_every_start_drops_shorter(self):
+        longer = MemoryMotif("ab", 8, (2, 20, 31))
+        pool = [MemoryMotif("a", 4, (2, 31)), MemoryMotif("a", 4, (2, 20, 31)), longer]
+        assert list(streamline(pool)) == reference_streamline(pool) == [longer]
+
+    def test_motif_without_occurrences(self):
+        empty = MemoryMotif("a", 4, ())
+        assert list(streamline([empty])) == [empty]
+        pool = [empty, MemoryMotif("b", 6, (1, 9))]
+        assert list(streamline(pool)) == reference_streamline(pool) == [pool[1]]
 
 
 class TestRunMta:
