@@ -1,12 +1,12 @@
 """motiftrack: unknown, variable-length repeating-pattern discovery.
 
-A series is z-normalized, discretized into one symbol per sliding window,
-and searched generation by generation with a population of string trackers
-that grow one symbol at a time.  Candidate repeats are confirmed against the
-data: with r = 0 by equality of the raw values, the brute-force oracle's
-definition of an exact repeat, and with r > 0 by a Euclidean distance of at
-most r in z-normalized units.  The oracle and an strace ingestion pipeline
-round out the toolkit.
+A series is z-normalized and discretized into one symbol per sliding window.
+Windows are grouped into classes of equal symbol words, each class refined
+by one symbol per generation; these are the paper's trackers.  Candidate
+repeats are confirmed against the data: with r = 0 by equality of the raw
+values, the brute-force oracle's definition of an exact repeat, and with
+r > 0 by a Euclidean distance of at most r in z-normalized units.  The
+oracles and an strace ingestion pipeline round out the toolkit.
 """
 
 from .ingest import (
@@ -22,6 +22,7 @@ from .oracle import (
     brute_force_exact_motifs,
     brute_force_threshold_pairs,
     maximal_exact_repeats,
+    reference_motifs,
 )
 from .sax import (
     ALPHABET,
@@ -46,16 +47,12 @@ from .tracker import (
     MemoryMotif,
     MotifSet,
     MtaConfig,
-    MutationTemplate,
-    Tracker,
-    Word,
     build_candidate_matrix,
     confirm_motifs,
     eliminate_unconfirmed,
     eliminate_unmatched,
     encapsulates,
     format_motif_report,
-    init_trackers,
     match_trackers,
     proliferate_and_mutate,
     quality_measure,
@@ -72,15 +69,12 @@ __all__ = [
     "MemoryMotif",
     "MotifSet",
     "MtaConfig",
-    "MutationTemplate",
     "NormalizedSeries",
     "PidTrace",
     "SaxConfig",
     "SymbolMatrix",
     "SyscallMap",
     "TimeSeries",
-    "Tracker",
-    "Word",
     "brute_force_exact_motifs",
     "brute_force_threshold_pairs",
     "build_candidate_matrix",
@@ -96,7 +90,6 @@ __all__ = [
     "euclidean_distance",
     "format_motif_report",
     "gaussian_breakpoints",
-    "init_trackers",
     "load_series_file",
     "load_series_text",
     "load_syscall_map",
@@ -105,6 +98,7 @@ __all__ = [
     "parse_strace_text",
     "proliferate_and_mutate",
     "quality_measure",
+    "reference_motifs",
     "run_mta",
     "streamline",
     "window_symbol",

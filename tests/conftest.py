@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motiftrack import TimeSeries
+from motiftrack import CandidateMatrix, TimeSeries, build_candidate_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -100,3 +100,32 @@ def corpus_instances(count: int = 200, seed: int = CORPUS_SEED):
             dst = rng.randrange(0, m - length + 1)
             vals[dst : dst + length] = list(vals[src : src + length])
         yield i, s, a, TimeSeries(np.array(vals))
+
+
+def letters_of(symbols: str) -> np.ndarray:
+    """Letter index of each symbol, as run_mta reads a symbol matrix."""
+    return np.frombuffer(symbols.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("a")
+
+
+def candidates_at(symbols: str, s: int, generation: int, tme: bool = False, blocks=None):
+    """Generation g's candidate matrix of a symbol string, built one generation at a time."""
+    letters, matrix = letters_of(symbols), None
+    for _ in range(generation):
+        matrix = build_candidate_matrix(letters, blocks, matrix, s, tme)
+    return matrix
+
+
+def hand_matrix(values, span: int, words, ids=None, exact: bool = False):
+    """A one-generation matrix of span points over hand-picked candidate starts.
+
+    Every start shares one word unless ids gives each start's word.  With
+    exact, raw ids number the windows by their bytes, as exact mode does.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.size - span + 1
+    ids = np.zeros(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
+    raw = None
+    if exact:
+        seen: dict = {}
+        raw = np.array([seen.setdefault(values[i : i + span].tobytes(), len(seen)) for i in range(n)])
+    return CandidateMatrix(ids, raw, np.asarray(words, dtype=np.intp), 1, span)

@@ -3,25 +3,24 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motiftrack import (
-    CandidateMatrix,
     MtaConfig,
     SaxConfig,
     TimeSeries,
-    Tracker,
-    Word,
     brute_force_exact_motifs,
     brute_force_threshold_pairs,
-    build_candidate_matrix,
     build_symbol_matrix,
     confirm_motifs,
     maximal_exact_repeats,
+    reference_motifs,
     run_mta,
     z_normalize,
 )
 
-from conftest import corpus_instances, motif_signature
+from conftest import candidates_at, corpus_instances, hand_matrix, motif_signature
 
 
 class TestExactMotifs:
@@ -222,27 +221,27 @@ def threshold_instances(count: int, seed: int = 20261019):
 
 
 class TestThresholdGroupsReference:
-    """At r > 0 a tracker's groups are the connected components of the
-    brute-force pair graph on that tracker's same-text starts."""
+    """At r > 0 a word's groups are the connected components of the
+    brute-force pair graph on that word's candidate starts."""
 
     def test_groups_equal_pair_graph_components(self):
         for index, s, a, series in threshold_instances(90):
             norm = z_normalize(series)
-            matrix = build_symbol_matrix(norm, SaxConfig(s, a))
+            symbols = build_symbol_matrix(norm, SaxConfig(s, a)).symbols
             r = (0.1, 0.5, 1.0, 2.0)[index % 4]
             for generation in (1, 2, 3):
                 span = generation * s
                 if span > len(series):
                     break
-                candidates = build_candidate_matrix(matrix, generation, index % 2 == 1)
+                candidates = candidates_at(symbols, s, generation, index % 2 == 1)
                 pairs = brute_force_threshold_pairs(series, span, r)
-                by_text = {}
-                for w in candidates.words:
-                    by_text.setdefault(w.text, []).append(w.start)
-                for text, starts in by_text.items():
-                    found, _ = confirm_motifs([Tracker(text)], candidates, norm, r)
-                    engine = [mo.occurrences for mo in found]
-                    assert engine == pair_graph_components(pairs, starts), (index, generation, text)
+                by_word = {}
+                for x in candidates.words.tolist():
+                    by_word.setdefault(int(candidates.ids[x]), []).append(x)
+                for word, starts in by_word.items():
+                    found = confirm_motifs(candidates, np.array([word]), norm.values, r)
+                    engine = [tuple(group) for group in found]
+                    assert engine == pair_graph_components(pairs, starts), (index, generation, word)
 
     def test_chain_joins_starts_that_are_not_within_r(self):
         # windows at 0 and 20 are each within r of the one at 10 but not of
@@ -258,7 +257,81 @@ class TestThresholdGroupsReference:
         pairs = brute_force_threshold_pairs(series, 2, r)
         chosen = {(i, j) for i, j, _ in pairs if {i, j} <= {0, 10, 20}}
         assert chosen == {(0, 20), (10, 20)}
-        candidates = CandidateMatrix((Word("b", 0), Word("b", 10), Word("b", 20)), 1, 2)
-        found, _ = confirm_motifs([Tracker("b")], candidates, norm, r)
-        assert [mo.occurrences for mo in found] == [(0, 10, 20)]
+        candidates = hand_matrix(norm.values, 2, [0, 10, 20])
+        assert confirm_motifs(candidates, np.array([0]), norm.values, r) == [[0, 10, 20]]
         assert pair_graph_components(pairs, [0, 10, 20]) == [(0, 10, 20)]
+
+
+def few_valued_instances(count: int, seed: int = 20261020):
+    """Series of two to four distinct integers at small alphabets, where TME
+    and the prefix and template checks interact; r and TME cycle through
+    all four modes."""
+    rng = random.Random(seed)
+    for i in range(count):
+        m = rng.randint(8, 90)
+        distinct = rng.randint(2, 4)
+        vals = [float(rng.randrange(distinct)) for _ in range(m)]
+        if i % 3 == 0:
+            p = rng.randint(2, 7)
+            vals = (vals[:p] * (m // p + 1))[:m]
+            vals[rng.randrange(m)] = float(distinct)
+        s, a = rng.randint(1, 4), rng.randint(2, 4)
+        r = (0.0, 0.0, 0.3, 1.0)[i % 4]
+        tme = (i // 4) % 2 == 1 or i % 5 == 0
+        yield i, TimeSeries(np.array(vals)), MtaConfig(SaxConfig(s, a), r, tme)
+
+
+@st.composite
+def reference_cases(draw):
+    m = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["few", "walk", "noise"]))
+    if kind == "few":
+        vals = draw(st.lists(st.integers(0, draw(st.integers(1, 4))), min_size=m, max_size=m))
+        values = np.array(vals, dtype=float)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        values = rng.standard_normal(m)
+        values = np.cumsum(values) if kind == "walk" else values
+    s = draw(st.integers(1, min(m, 6)))
+    a = draw(st.integers(2, 6))
+    r = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0, 3.0]))
+    return TimeSeries(values), MtaConfig(SaxConfig(s, a), r, draw(st.booleans()))
+
+
+class TestReferenceMotifs:
+    """run_mta reports what reference_motifs computes in plain loops, in every mode."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(reference_cases())
+    def test_matches_engine(self, case):
+        series, config = case
+        assert list(run_mta(series, config)) == list(reference_motifs(series, config))
+
+    def test_few_valued_corpus(self):
+        modes = set()
+        for index, series, config in few_valued_instances(400):
+            modes.add((config.match_threshold > 0, config.tme_enabled))
+            engine = run_mta(series, config)
+            assert list(engine) == list(reference_motifs(series, config)), f"instance {index}"
+        assert len(modes) == 4
+
+    @pytest.mark.parametrize(
+        "s, a, values",
+        [
+            (4, 2, "2333220102220102321012201"),
+            (3, 3, "2300022200023220000022"),
+        ],
+    )
+    def test_template_check_binds(self, s, a, values):
+        # TME at generation 1 leaves a letter without a group, yet a later
+        # word ending in it has a confirmed prefix and a group of its own:
+        # the mutation template must still drop it
+        series = TimeSeries(np.array([float(v) for v in values]))
+        config = MtaConfig(SaxConfig(s, a), 1.0, True)
+        assert list(run_mta(series, config)) == list(reference_motifs(series, config))
+
+    def test_reference_matches_exact_oracle(self):
+        for index, s, a, series in corpus_instances(count=24):
+            reference = reference_motifs(series, MtaConfig(SaxConfig(s, a)))
+            oracle = brute_force_exact_motifs(series, s, 1)
+            assert motif_signature(reference) == motif_signature(oracle), f"instance {index}"

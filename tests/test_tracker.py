@@ -1,22 +1,19 @@
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm as gaussian
 
 from motiftrack import (
-    CandidateMatrix,
+    ALPHABET,
     MemoryMotif,
     MotifSet,
     MtaConfig,
-    MutationTemplate,
     SaxConfig,
-    SymbolMatrix,
     TimeSeries,
-    Tracker,
-    Word,
-    build_candidate_matrix,
     build_symbol_matrix,
     confirm_motifs,
     encapsulates,
@@ -24,7 +21,6 @@ from motiftrack import (
     eliminate_unconfirmed,
     eliminate_unmatched,
     format_motif_report,
-    init_trackers,
     match_trackers,
     proliferate_and_mutate,
     quality_measure,
@@ -34,7 +30,7 @@ from motiftrack import (
 )
 from motiftrack.series import NormalizedSeries
 
-from conftest import motif_signature
+from conftest import candidates_at, hand_matrix, letters_of, motif_signature
 
 TABLE_MOTIFS = [
     (280, (386, 717)),
@@ -48,57 +44,81 @@ TABLE_MOTIFS = [
 ]
 
 
-def matrix_of(symbols: str, s: int, a: int = 4) -> SymbolMatrix:
-    return SymbolMatrix(symbols, SaxConfig(s, a), len(symbols) + s - 1)
+def texts(matrix, symbols: str) -> list[str]:
+    """The symbol text of each candidate word."""
+    span, s = matrix.point_span, matrix.symbol_length
+    return [symbols[i : i + span : s] for i in matrix.words]
 
 
-def texts(population):
-    return [t.text for t in population]
+def assert_ids_name_texts(matrix, symbols: str) -> None:
+    """Two starts share a word id iff their words have one text."""
+    span, s = matrix.point_span, matrix.symbol_length
+    words = [symbols[i : i + span : s] for i in range(matrix.ids.size)]
+    assert matrix.ids.size == len(symbols) + s - span
+    pairs = set(zip(words, matrix.ids.tolist()))
+    assert len(pairs) == len(set(words)) == len(set(matrix.ids.tolist()))
+
+
+def letter_series(a: int) -> TimeSeries:
+    """Series whose s=1 symbols are the first a letters, then the same letters backwards."""
+    centres = gaussian.ppf((np.arange(a) + 0.5) / a)  # the middle of each letter's bucket
+    return TimeSeries(np.concatenate([centres, centres[::-1]]))
 
 
 class TestInitTrackers:
+    """Generation 1 seeds one tracker per letter: every start holds one."""
+
+    @staticmethod
+    def letter_motifs(a):
+        series = letter_series(a)
+        symbols = build_symbol_matrix(z_normalize(series), SaxConfig(1, a)).symbols
+        assert symbols == ALPHABET[:a] + ALPHABET[:a][::-1]
+        return list(run_mta(series, MtaConfig(SaxConfig(1, a))))
+
     def test_two(self):
-        assert texts(init_trackers(2)) == ["a", "b"]
+        assert [mo.text for mo in self.letter_motifs(2)] == ["a", "b"]
 
     def test_four(self):
-        assert texts(init_trackers(4)) == ["a", "b", "c", "d"]
+        assert [mo.text for mo in self.letter_motifs(4)] == ["a", "b", "c", "d"]
 
     def test_ten(self):
-        population = init_trackers(10)
-        assert len(population) == 10
-        assert all(len(t.text) == 1 and t.match_count == 0 for t in population)
-
-    def test_too_small(self):
-        with pytest.raises(ValueError, match="alphabet too small"):
-            init_trackers(1)
+        motifs = self.letter_motifs(10)
+        assert len(motifs) == 10
+        assert sorted(mo.text for mo in motifs) == list(ALPHABET[:10])
+        assert all(mo.point_length == 1 and len(mo.occurrences) == 2 for mo in motifs)
 
 
 class TestCandidateMatrix:
     def test_tme_cap_resets(self):
         # "aaab" with s=1: at most one consecutive elimination allowed
-        cm = build_candidate_matrix(matrix_of("aaab", 1), 1, True)
-        assert [(w.start, w.text) for w in cm.words] == [(0, "a"), (2, "a"), (3, "b")]
+        cm = candidates_at("aaab", 1, 1, tme=True)
+        assert list(zip(cm.words.tolist(), texts(cm, "aaab"))) == [(0, "a"), (2, "a"), (3, "b")]
 
     def test_tme_keeps_alternation(self):
-        cm = build_candidate_matrix(matrix_of("abab", 2), 1, True)
-        assert [w.text for w in cm.words] == ["a", "b", "a", "b"]
+        cm = candidates_at("abab", 2, 1, tme=True)
+        assert texts(cm, "abab") == ["a", "b", "a", "b"]
 
     def test_no_tme_keeps_everything(self):
-        sm = matrix_of("aaaaa", 2)  # m = 6
+        m = 6  # "aaaaa" at s=2
         for g in (1, 2, 3):
-            cm = build_candidate_matrix(sm, g, False)
-            assert len(cm.words) == sm.series_length - g * 2 + 1
+            cm = candidates_at("aaaaa", 2, g)
+            assert len(cm.words) == m - g * 2 + 1
 
     def test_word_texts_use_stride_s(self):
-        sm = matrix_of("abcdef", 2)  # m = 7
-        cm = build_candidate_matrix(sm, 2, False)
-        assert [w.text for w in cm.words] == ["ac", "bd", "ce", "df"]
-        cm3 = build_candidate_matrix(sm, 3, False)
-        assert [w.text for w in cm3.words] == ["ace", "bdf"]
+        cm = candidates_at("abcdef", 2, 2)  # m = 7
+        assert texts(cm, "abcdef") == ["ac", "bd", "ce", "df"]
+        assert_ids_name_texts(cm, "abcdef")
+        cm3 = candidates_at("abcdef", 2, 3)
+        assert texts(cm3, "abcdef") == ["ace", "bdf"]
+        assert_ids_name_texts(cm3, "abcdef")
+        # starts 0 and 4 read "ab" at stride 2, though their points differ
+        cm = candidates_at("axbyazb", 2, 2)
+        assert texts(cm, "axbyazb") == ["ab", "xy", "ba", "yz", "ab"]
+        assert_ids_name_texts(cm, "axbyazb")
 
     def test_empty_when_no_word_constructible(self):
-        cm = build_candidate_matrix(matrix_of("ab", 3), 2, False)  # m=4 < 6
-        assert cm.words == ()
+        cm = candidates_at("ab", 3, 2)  # m=4 < 6
+        assert len(cm.words) == 0
 
     def test_tme_invariant_fuzz(self):
         rng = random.Random(11)
@@ -106,51 +126,39 @@ class TestCandidateMatrix:
             s = rng.randint(1, 5)
             n = rng.randint(1, 60)
             symbols = "".join(rng.choice("ab") for _ in range(n))
-            sm = matrix_of(symbols, s)
-            cm = build_candidate_matrix(sm, 1, True)
-            full = build_candidate_matrix(sm, 1, False).words
-            starts = [w.start for w in cm.words]
+            g = rng.randint(1, 3)
+            if g * s > n + s - 1:
+                continue  # no word of g symbols fits
+            cm = candidates_at(symbols, s, g, tme=True)
+            full = candidates_at(symbols, s, g)
+            assert_ids_name_texts(full, symbols)
+            starts = cm.words.tolist()
             assert starts[0] == 0
-            by_start = {w.start: w.text for w in full}
-            for prev, nxt in zip(cm.words, cm.words[1:]):
-                gap = nxt.start - prev.start - 1
-                assert gap <= s
-                for eliminated in range(prev.start + 1, nxt.start):
-                    assert by_start[eliminated] == prev.text
+            by_start = dict(zip(full.words.tolist(), texts(full, symbols)))
+            kept = texts(cm, symbols)
+            for k, (prev, nxt) in enumerate(zip(starts, starts[1:])):
+                assert nxt - prev - 1 <= s
+                for eliminated in range(prev + 1, nxt):
+                    assert by_start[eliminated] == kept[k]
 
 
 class TestMatching:
     def test_counts(self):
-        cm = CandidateMatrix((Word("a", 0), Word("b", 1), Word("a", 2)), 1, 1)
-        population = [Tracker("a"), Tracker("b"), Tracker("c")]
-        match_trackers(population, cm)
-        assert [t.match_count for t in population] == [2, 1, 0]
+        # the words at starts 0-2 are tracked; "c" at start 3 is not
+        cm = candidates_at("abac", 1, 1)
+        counts = match_trackers(cm, np.array([True, True, True, False]))
+        assert counts.tolist() == [2, 1, 0]
 
     def test_two_symbol_words(self):
-        cm = CandidateMatrix((Word("ab", 0), Word("ba", 1)), 2, 1)
-        population = [Tracker("ab")]
-        match_trackers(population, cm)
-        assert population[0].match_count == 1
-
-    def test_generation_skew(self):
-        cm = CandidateMatrix((Word("ab", 0),), 2, 1)
-        with pytest.raises(RuntimeError, match="generation skew"):
-            match_trackers([Tracker("a")], cm)
+        cm = candidates_at("aba", 1, 2)
+        assert texts(cm, "aba") == ["ab", "ba"]
+        assert match_trackers(cm, np.ones(2, dtype=bool)).tolist() == [1, 1]
 
     def test_eliminate_unmatched(self):
-        population = [Tracker("a"), Tracker("b"), Tracker("c")]
-        population[0].match_count = 3
-        population[1].match_count = 1
-        population[2].match_count = 2
-        survivors = eliminate_unmatched(population)
-        assert texts(survivors) == ["a", "c"]
-        assert all(t.match_count == 0 for t in survivors)
+        assert eliminate_unmatched(np.array([3, 1, 2])).tolist() == [0, 2]
 
     def test_eliminate_all(self):
-        population = [Tracker("a"), Tracker("b")]
-        for t in population:
-            t.match_count = 1
-        assert eliminate_unmatched(population) == []
+        assert eliminate_unmatched(np.array([1, 1])).tolist() == []
 
 
 def normalized(values) -> NormalizedSeries:
@@ -162,22 +170,19 @@ class TestConfirm:
         vals = [float(i) for i in range(60)]
         vals[10:14] = [9.0, 7.0, 9.0, 7.0]
         vals[50:54] = [9.0, 7.0, 9.0, 7.0]
-        cm = CandidateMatrix((Word("ab", 10), Word("ab", 50)), 2, 2)
-        tracker = Tracker("ab")
-        found, _ = confirm_motifs([tracker], cm, normalized(vals), 0.0)
-        assert motif_signature(found) == [(4, (10, 50))]
-        assert found[0].text == "ab"
-        assert tracker.match_count == 1
+        cm = hand_matrix(vals, 4, [10, 50], exact=True)
+        found = confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0)
+        assert found == [[10, 50]]
+        assert eliminate_unconfirmed(cm, found).tolist() == [True]
 
     def test_differing_pair_rejected(self):
         vals = [float(i) for i in range(60)]
         vals[10:14] = [9.0, 7.0, 9.0, 7.0]
         vals[50:54] = [9.0, 7.0, 9.0, 8.0]
-        cm = CandidateMatrix((Word("ab", 10), Word("ab", 50)), 2, 2)
-        tracker = Tracker("ab")
-        found, _ = confirm_motifs([tracker], cm, normalized(vals), 0.0)
+        cm = hand_matrix(vals, 4, [10, 50], exact=True)
+        found = confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0)
         assert found == []
-        assert tracker.match_count == 0
+        assert eliminate_unconfirmed(cm, found).tolist() == [False]
 
     def test_three_way_group(self):
         # mirrors a repeat seen at three distant positions
@@ -185,11 +190,8 @@ class TestConfirm:
         block = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0] * 2
         for start in (387, 620, 669):
             vals[start : start + 20] = block
-        cm = CandidateMatrix(
-            (Word("aa", 387), Word("aa", 620), Word("aa", 669)), 2, 10
-        )
-        found, _ = confirm_motifs([Tracker("aa")], cm, normalized(vals), 0.0)
-        assert motif_signature(found) == [(20, (387, 620, 669))]
+        cm = hand_matrix(vals, 20, [387, 620, 669], exact=True)
+        assert confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0) == [[387, 620, 669]]
 
     def test_colliding_classes_stay_separate(self):
         # same symbol text over different underlying data: two motifs result
@@ -198,71 +200,64 @@ class TestConfirm:
         vals[10:12] = [1.0, 1.0]
         vals[20:22] = [2.0, 2.0]
         vals[30:32] = [2.0, 2.0]
-        cm = CandidateMatrix(
-            (Word("a", 0), Word("a", 10), Word("a", 20), Word("a", 30)), 1, 2
-        )
-        found, _ = confirm_motifs([Tracker("a")], cm, normalized(vals), 0.0)
-        assert motif_signature(found) == [(2, (0, 10)), (2, (20, 30))]
-        assert all(mo.text == "a" for mo in found)
+        cm = hand_matrix(vals, 2, [0, 10, 20, 30], exact=True)
+        assert confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0) == [[0, 10], [20, 30]]
 
     def test_threshold_admits_near_misses(self):
         vals = [0.0] * 40
         vals[10:12] = [1.0, 1.0]
         vals[30:32] = [1.0, 1.05]
-        cm = CandidateMatrix((Word("b", 10), Word("b", 30)), 1, 2)
-        found, _ = confirm_motifs([Tracker("b")], cm, normalized(vals), 0.1)
-        assert motif_signature(found) == [(2, (10, 30))]
+        cm = hand_matrix(vals, 2, [10, 30])
+        assert confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.1) == [[10, 30]]
 
     def test_eliminate_unconfirmed(self):
-        stimulated, silent = Tracker("ab"), Tracker("cd")
-        stimulated.match_count = 1
-        population = eliminate_unconfirmed([stimulated, silent])
-        assert texts(population) == ["ab"]
-        assert population[0].match_count == 0
-        assert eliminate_unconfirmed([silent]) == []
+        # words 0 and 1; only word 1 has a confirmed group
+        cm = hand_matrix([0.0] * 8, 2, [0, 2, 4, 6], ids=[0, 0, 1, 0, 1, 0, 1])
+        assert eliminate_unconfirmed(cm, [[2, 4]]).tolist() == [False, True]
+        assert eliminate_unconfirmed(cm, []).tolist() == [False, False]
 
 
-def per_tracker_confirm(names, candidates, data, r):
-    """One confirm_motifs call per tracker: the motifs and match counts in order."""
-    found, counts = [], []
-    for text in names:
-        tracker = Tracker(text)
-        own, _ = confirm_motifs([tracker], candidates, data, r)
+def per_word_confirm(cm, matched, values, r):
+    """One confirm_motifs call per word: the groups, ordered by first start, and the confirmed words."""
+    found, confirmed = [], []
+    for k in matched:
+        own = confirm_motifs(cm, np.array([k]), values, r)
         found += own
-        counts.append(tracker.match_count)
-    return found, counts
+        confirmed.append(bool(own))
+    return sorted(found), confirmed
 
 
 class TestConfirmSharedRounds:
-    """One confirm_motifs call over many trackers at r > 0 equals a call per tracker."""
+    """One confirm_motifs call over many words at r > 0 equals a call per word."""
 
     def test_hand_built_trackers_of_one_two_three_and_fifty_starts(self):
         # every window is a small perturbation of one shape, so windows of
-        # different trackers are within r of each other; only same-text
+        # different words are within r of each other; only same-word
         # starts may join a group
         rng = np.random.default_rng(5)
         span, count = 4, 56
         vals = np.tile([0.0, 1.0, 0.0, -1.0], count) + rng.normal(0, 0.05, 4 * count)
-        vals[::12] += 3.0  # some far windows, so the large tracker has several groups
-        sizes = {"a": 1, "b": 2, "c": 3, "d": 50}
-        starts = iter(range(0, 4 * count, 4))
-        words = [Word(text, next(starts)) for text, k in sizes.items() for _ in range(k)]
+        vals[::12] += 3.0  # some far windows, so the large word has several groups
+        sizes = {0: 1, 1: 2, 2: 3, 3: 50}
+        words = [word for word, k in sizes.items() for _ in range(k)]
         random.Random(5).shuffle(words)
-        candidates = CandidateMatrix(tuple(words), 1, span)
-        data = normalized(vals)
+        ids = np.full(vals.size - span + 1, 4)  # starts that are not candidates
+        ids[0 : 4 * count : 4] = words
+        cm = hand_matrix(vals, span, range(0, 4 * count, 4), ids=ids)
         r = 0.5
-        population = [Tracker(text) for text in sizes]
-        found, _ = confirm_motifs(population, candidates, data, r)
-        expected, counts = per_tracker_confirm(sizes, candidates, data, r)
+        matched = eliminate_unmatched(match_trackers(cm, np.ones(ids.size, dtype=bool)))
+        assert matched.tolist() == [1, 2, 3]
+        found = confirm_motifs(cm, matched, vals, r)
+        expected, confirmed = per_word_confirm(cm, matched, vals, r)
         assert found == expected
-        assert [t.match_count for t in population] == counts == [0, 1, 1, 1]
-        by_text = {text: {w.start for w in words if w.text == text} for text in sizes}
-        assert all(set(mo.occurrences) <= by_text[mo.text] for mo in found)
-        assert len([mo for mo in found if mo.text == "d"]) >= 2
-        # the same windows under one text chain across the trackers' starts
-        pooled = CandidateMatrix(tuple(Word("a", w.start) for w in words), 1, span)
-        merged, _ = confirm_motifs([Tracker("a")], pooled, data, r)
-        assert max(len(mo.occurrences) for mo in merged) > max(len(mo.occurrences) for mo in found)
+        assert confirmed == [True, True, True]
+        assert eliminate_unconfirmed(cm, found)[:4].tolist() == [False, True, True, True]
+        assert all(len({ids[x] for x in group}) == 1 for group in found)
+        assert len([group for group in found if ids[group[0]] == 3]) >= 2
+        # the same windows under one word chain across the words' starts
+        pooled = hand_matrix(vals, span, range(0, 4 * count, 4))
+        merged = confirm_motifs(pooled, np.array([0]), vals, r)
+        assert max(len(group) for group in merged) > max(len(group) for group in found)
 
     @pytest.mark.parametrize("tme", [False, True])
     def test_every_text_of_seeded_series(self, tme):
@@ -277,20 +272,18 @@ class TestConfirmSharedRounds:
             else:
                 vals = np.where(rng.random(m) < 0.7, 0.0, rng.standard_normal(m))
             s = 1 + seed % 3
-            norm = z_normalize(TimeSeries(vals))
-            matrix = build_symbol_matrix(norm, SaxConfig(s, 4))
+            norm_values = z_normalize(TimeSeries(vals)).values
+            symbols = build_symbol_matrix(z_normalize(TimeSeries(vals)), SaxConfig(s, 4)).symbols
             for generation in (1, 2, 4):
-                candidates = build_candidate_matrix(matrix, generation, tme)
-                counted = {}
-                for w in candidates.words:
-                    counted[w.text] = counted.get(w.text, 0) + 1
-                sizes_seen.update(counted.values())
+                cm = candidates_at(symbols, s, generation, tme)
+                counts = match_trackers(cm, np.ones(cm.ids.size, dtype=bool))
+                sizes_seen.update(counts[counts > 0].tolist())
+                present = np.flatnonzero(counts)
                 for r in (0.3, 1.0, 2.5):
-                    population = [Tracker(text) for text in counted]
-                    found, _ = confirm_motifs(population, candidates, norm, r)
-                    expected, counts = per_tracker_confirm(counted, candidates, norm, r)
+                    found = confirm_motifs(cm, present, norm_values, r)
+                    expected, confirmed = per_word_confirm(cm, present, norm_values, r)
                     assert found == expected, (seed, generation, r)
-                    assert [t.match_count for t in population] == counts
+                    assert eliminate_unconfirmed(cm, found)[present].tolist() == confirmed
         assert {1, 2, 3} <= sizes_seen and max(sizes_seen) >= 50
 
 
@@ -306,7 +299,6 @@ class TestThresholdBoundary:
         rng = np.random.default_rng(span)
         starts = [0, span + 3, 2 * span + 5, 3 * span + 9, 4 * span + 11]
         vals = rng.standard_normal(5 * span + 20)
-        data = normalized(vals)
         windows = [vals[x : x + span] for x in starts]
         # the closest pair is the only one within r = its distance
         r, a, b = min(
@@ -314,11 +306,9 @@ class TestThresholdBoundary:
             for i in range(len(starts))
             for j in range(i + 1, len(starts))
         )
-        cm = CandidateMatrix(tuple(Word("a", x) for x in starts), 1, span)
-        found, _ = confirm_motifs([Tracker("a")], cm, data, r)
-        assert motif_signature(found) == [(span, (a, b))]
-        found, _ = confirm_motifs([Tracker("a")], cm, data, float(np.nextafter(r, 0)))
-        assert found == []
+        cm = hand_matrix(vals, span, starts)
+        assert confirm_motifs(cm, np.array([0]), vals, r) == [[a, b]]
+        assert confirm_motifs(cm, np.array([0]), vals, float(np.nextafter(r, 0))) == []
 
 
 class TestMtaConfig:
@@ -331,24 +321,30 @@ class TestMtaConfig:
             MtaConfig(SaxConfig(2, 4), -0.5)
 
 
+# every word of three letters over "abc", at s=1
+DE_BRUIJN = "aaabaacabbabcacbaccbbbcbcccaa"
+
+
+def children(symbols: str, generation: int, parents, template: str) -> list[str]:
+    """The texts at the starts holding a tracker after proliferate_and_mutate."""
+    cm = candidates_at(symbols, 1, generation)
+    confirmed = np.zeros(int(cm.ids.max()) + 1, dtype=bool)
+    for text in parents:
+        confirmed[cm.ids[symbols.index(text)]] = True
+    letters = letters_of(symbols)
+    trackers = proliferate_and_mutate(cm, confirmed, np.isin(letters, letters_of(template)))
+    return sorted({symbols[i : i + generation + 1] for i in np.flatnonzero(trackers)})
+
+
 class TestProliferation:
     def test_single_parent(self):
-        out = proliferate_and_mutate([Tracker("a")], MutationTemplate("ab"))
-        assert texts(out) == ["aa", "ab"]
+        assert children(DE_BRUIJN, 1, ["a"], "ab") == ["aa", "ab"]
 
     def test_cross_product(self):
-        out = proliferate_and_mutate(
-            [Tracker("ab"), Tracker("bb")], MutationTemplate("ab")
-        )
-        assert texts(out) == ["aba", "abb", "bba", "bbb"]
-        assert all(t.match_count == 0 for t in out)
+        assert children(DE_BRUIJN, 2, ["ab", "bb"], "ab") == ["aba", "abb", "bba", "bbb"]
 
     def test_empty_survivors(self):
-        assert proliferate_and_mutate([], MutationTemplate("ab")) == []
-
-    def test_empty_template(self):
-        with pytest.raises(RuntimeError, match="template empty"):
-            proliferate_and_mutate([Tracker("a")], MutationTemplate(""))
+        assert children(DE_BRUIJN, 2, [], "ab") == []
 
 
 class TestStreamline:
@@ -560,6 +556,28 @@ class TestRunMta:
                 )
 
             assert any(covers(mo, src) and covers(mo, dst) for mo in out), (s, src, dst, length)
+
+
+class TestTimeBudget:
+    """Shapes whose every window repeats stay fast at the paper's capture size."""
+
+    M = 8040
+
+    def timed(self, values, tme):
+        begin = time.perf_counter()
+        out = run_mta(TimeSeries(values), MtaConfig(SaxConfig(10, 10), 0.0, tme))
+        return out, time.perf_counter() - begin
+
+    def test_constant_series(self):
+        out, seconds = self.timed(np.full(self.M, 5.0), False)
+        assert seconds < 15
+        assert len(out) == 1
+
+    def test_period_37_with_tme(self):
+        period = np.random.default_rng(0).standard_normal(37)
+        out, seconds = self.timed(np.tile(period, self.M // 37 + 1)[: self.M], True)
+        assert seconds < 15
+        assert len(out) == 10
 
 
 class TestQualityMeasure:
