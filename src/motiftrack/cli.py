@@ -78,6 +78,8 @@ def cmd_ingest(trace_prefix, map_path, tail, strict, output):
     The lowest PID is treated as the parent; remaining files are appended in
     ascending PID order.
     """
+    if tail is not None and tail < 1:
+        _fail("tail must be positive")
     paths = []
     for candidate in sorted(glob.glob(f"{trace_prefix}.*")):
         if candidate.rsplit(".", 1)[-1].isdigit():
@@ -102,8 +104,6 @@ def cmd_ingest(trace_prefix, map_path, tail, strict, output):
             skipped += skips
     except (OSError, ValueError) as exc:
         _fail(str(exc))
-    if tail is not None and tail < 1:
-        _fail("tail must be positive")
     traces.sort(key=lambda t: t.pid)
     try:
         calls = ingest_mod.concatenate_pid_traces(traces[0], traces[1:])

@@ -2,16 +2,18 @@
 
 A normalized series is discretized one sliding window at a time: the mean of
 each length-s window is bucketed against equiprobable Gaussian breakpoints
-and rendered as a single alphabet symbol.  Multi-symbol words are assembled
+and rendered as a single alphabet symbol.  The breakpoints are the a - 1
+quantiles of N(0,1) that SAX keeps as a fixed table, here computed by the
+standard library's statistics.NormalDist.  Multi-symbol words are assembled
 later by the tracker engine, so there is no frame-wise PAA step here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .series import NormalizedSeries
 
@@ -42,12 +44,13 @@ class Breakpoints:
 def gaussian_breakpoints(alphabet_size: int) -> Breakpoints:
     """Breakpoints carving N(0,1) into alphabet_size equal-probability areas.
 
-    cut[i] is the (i+1)/a quantile of the standard normal distribution.
+    cut[i] is the (i+1)/a quantile of the standard normal distribution, as
+    statistics.NormalDist().inv_cdf gives it.
     """
     if alphabet_size < 2:
         raise ValueError("alphabet too small")
-    qs = np.arange(1, alphabet_size) / alphabet_size
-    return Breakpoints(tuple(float(c) for c in norm.ppf(qs)))
+    gaussian = NormalDist()
+    return Breakpoints(tuple(gaussian.inv_cdf(i / alphabet_size) for i in range(1, alphabet_size)))
 
 
 def window_symbol(window, cuts: Breakpoints) -> int:

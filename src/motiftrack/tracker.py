@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -172,9 +171,7 @@ def confirm_motifs(
     if matrix.raw is not None:
         labels = matrix.raw[starts]
     else:
-        per_word = [part.tolist() for part in np.split(starts, np.flatnonzero(np.diff(ids[starts])) + 1)]
-        rows = _chain_labels(values, matrix.point_span, per_word, threshold)
-        labels = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=starts.size)
+        labels = _chain_labels(values, matrix.point_span, starts, ids[starts], threshold)
     order = np.lexsort((starts, labels))
     labels, starts = labels[order], starts[order]
     bounds = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
@@ -204,31 +201,25 @@ def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float)
     return np.sqrt(np.add.reduce(diff, axis=1)) <= threshold
 
 
-def _chain_labels(values: np.ndarray, span: int, starts: list[list[int]], threshold: float):
+def _chain_labels(values: np.ndarray, span: int, starts: np.ndarray, words: np.ndarray, threshold: float):
     """Single-linkage group labels of every tracker's starts, in shared rounds.
 
-    The trackers' starts sit side by side in one array, each tracker a
-    segment.  Round t takes row t of every live tracker at once: the row's
-    distances, by euclidean_distance's formula, to the later starts of its
-    own tracker whose group label differs from its own, so every d <= r
-    decision is the one a pairwise loop makes.  The groups of the starts
-    within the threshold join the row's group.  Pairs already in one group
-    are skipped, since they cannot change the groups.  A tracker whose row
-    finds no such pair leaves the rounds: all its later starts then share
-    the row's group, so no later row of it can find one either.  Returns
-    one list of labels per tracker; equal labels mean one group.
+    starts holds the trackers' starts side by side, each tracker a segment
+    of equal word ids in words (ascending), its starts ascending.  Round t
+    takes row t of every live tracker at once: the row's distances, by
+    euclidean_distance's formula, to the later starts of its own tracker
+    whose group label differs from its own, so every d <= r decision is the
+    one a pairwise loop makes.  The groups of the starts within the
+    threshold join the row's group.  Pairs already in one group are
+    skipped, since they cannot change the groups.  A tracker whose row finds
+    no such pair leaves the rounds: all its later starts then share the
+    row's group, so no later row of it can find one either.  Returns one
+    label per start; equal labels mean one group.
     """
     # every start after the first of its tracker, and that tracker's first position
-    firsts, pos, base = [], [], []
-    first = 0
-    for own in starts:
-        firsts.append(first)
-        pos += range(first + 1, first + len(own))
-        base += [first] * (len(own) - 1)
-        first += len(own)
-    flat = np.fromiter(chain.from_iterable(starts), dtype=np.intp)
-    label = np.arange(flat.size)
-    pos, base = np.array(pos, dtype=np.intp), np.array(base, dtype=np.intp)
+    pos = np.flatnonzero(words[1:] == words[:-1]) + 1
+    base = np.searchsorted(words, words[pos])
+    label = np.arange(starts.size)
     if pos.size:
         # every window of the series as a row of one strided view, no copy
         values = np.ascontiguousarray(values)
@@ -240,7 +231,7 @@ def _chain_labels(values: np.ndarray, span: int, starts: list[list[int]], thresh
         col, row = pos[open_], row[open_]
         if not col.size:
             break
-        near = _within(windows, flat[col], flat[row], threshold)
+        near = _within(windows, starts[col], starts[row], threshold)
         joined = label[col[near]]
         if joined.size:
             target = np.arange(label.size)
@@ -252,8 +243,7 @@ def _chain_labels(values: np.ndarray, span: int, starts: list[list[int]], thresh
         t += 1
         keep = (pos > base + t) & live[base]
         pos, base = pos[keep], base[keep]
-    label = label.tolist()
-    return [label[first : first + len(own)] for first, own in zip(firsts, starts)]
+    return label
 
 
 def eliminate_unconfirmed(matrix: CandidateMatrix, groups: list[list[int]]) -> np.ndarray:

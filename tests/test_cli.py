@@ -1,4 +1,8 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +14,15 @@ from conftest import DATA_DIR
 
 STRACE_DIR = DATA_DIR / "strace"
 EXPECTED_SERIES = (STRACE_DIR / "expected_series.txt").read_text()
+SRC_DIR = Path(__file__).parent.parent / "src"
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports motiftrack from the source tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @pytest.fixture
@@ -77,6 +90,30 @@ class TestDiscover:
         assert first.output == second.output
 
 
+class TestWithoutScipy:
+    """The package runs on numpy and click alone."""
+
+    def test_cli_import_loads_no_scipy(self):
+        result = run_python(
+            "import sys, motiftrack.cli\n"
+            "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
+    def test_discover_with_scipy_blocked(self, runner, planted_series_file):
+        args = ["discover", str(planted_series_file), "-s", "20"]
+        result = run_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from motiftrack.cli import main\n"
+            "main(sys.argv[1:])",
+            *args,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == runner.invoke(main, args).output
+
+
 class TestOracleCommand:
     def test_matches_discover_on_fixture(self, runner, planted_series_file):
         discover = runner.invoke(
@@ -122,6 +159,15 @@ class TestIngest:
             main, ["ingest", str(prefix), "--tail", "0", "-o", str(tmp_path / "s.txt")]
         )
         assert result.exit_code == 2
+
+    def test_tail_checked_before_reading_traces(self, runner, tmp_path):
+        prefix = self.copy_traces(tmp_path)
+        (tmp_path / "trace.9").mkdir()  # unreadable as a trace file
+        result = runner.invoke(
+            main, ["ingest", str(prefix), "--tail", "0", "-o", str(tmp_path / "s.txt")]
+        )
+        assert result.exit_code == 2
+        assert "tail must be positive" in result.stderr
 
     def test_strict_names_unknown_call(self, runner, tmp_path):
         prefix = self.copy_traces(tmp_path)

@@ -1,11 +1,11 @@
 import random
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm as gaussian
 
 from motiftrack import (
     ALPHABET,
@@ -61,7 +61,8 @@ def assert_ids_name_texts(matrix, symbols: str) -> None:
 
 def letter_series(a: int) -> TimeSeries:
     """Series whose s=1 symbols are the first a letters, then the same letters backwards."""
-    centres = gaussian.ppf((np.arange(a) + 0.5) / a)  # the middle of each letter's bucket
+    gaussian = NormalDist()
+    centres = np.array([gaussian.inv_cdf((i + 0.5) / a) for i in range(a)])  # the middle of each letter's bucket
     return TimeSeries(np.concatenate([centres, centres[::-1]]))
 
 
