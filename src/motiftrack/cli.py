@@ -67,12 +67,19 @@ def main():
     "map_path",
     type=click.Path(),
     default=None,
-    help="Name-to-id table; defaults to the bundled Linux 2.4 i386 table.",
+    help="Name-to-id table file; replaces the bundled table.",
+)
+@click.option(
+    "--syscall-table",
+    "table",
+    type=click.Choice(sorted(ingest_mod.SYSCALL_TABLES)),
+    default=None,
+    help=f"Bundled name-to-id table.  [default: {ingest_mod.DEFAULT_SYSCALL_TABLE}]",
 )
 @click.option("--tail", type=int, default=None, help="Keep only the last N values.")
 @click.option("--strict", is_flag=True, help="Fail on syscall names missing from the map.")
 @click.option("--output", "-o", required=True, type=click.Path(), help="Series file to write.")
-def cmd_ingest(trace_prefix, map_path, tail, strict, output):
+def cmd_ingest(trace_prefix, map_path, table, tail, strict, output):
     """Turn per-PID trace files <TRACE_PREFIX>.<pid> into a series file.
 
     The lowest PID is treated as the parent; remaining files are appended in
@@ -80,15 +87,17 @@ def cmd_ingest(trace_prefix, map_path, tail, strict, output):
     """
     if tail is not None and tail < 1:
         _fail("tail must be positive")
+    if table is not None and map_path is not None:
+        _fail("--syscall-table and --syscall-map are mutually exclusive")
     paths = []
-    for candidate in sorted(glob.glob(f"{trace_prefix}.*")):
-        if candidate.rsplit(".", 1)[-1].isdigit():
+    for candidate in sorted(glob.glob(f"{glob.escape(trace_prefix)}.*")):
+        if ingest_mod.pid_suffix(candidate) is not None:
             paths.append(candidate)
     if not paths:
         _fail(f"no trace files found for prefix {trace_prefix!r}")
     try:
         if map_path is None:
-            syscall_map = ingest_mod.default_syscall_map()
+            syscall_map = ingest_mod.bundled_syscall_map(table or ingest_mod.DEFAULT_SYSCALL_TABLE)
         else:
             syscall_map = ingest_mod.load_syscall_map(map_path)
     except (OSError, ValueError) as exc:

@@ -11,18 +11,27 @@ unfinished line, which preserves ordering by call initiation time.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib.resources import files
+from itertools import repeat
 
 import numpy as np
 
 from .series import TimeSeries
 
 # `strace -f` without -ff prefixes each line of a child process with [pid N];
-# tried as the first alternative, it costs lines without it nothing measurable
+# tried as the first alternative, it costs lines without it nothing measurable.
+# Nothing before the final \( can match a '(', so a line's text before its
+# first '(' decides the match and the name (parse_strace_text relies on this).
 _CALL_LINE = re.compile(r"(?:\[pid\s+\d+\]\s*|\s*)([A-Za-z_][A-Za-z0-9_]*)\(")
 
-DEFAULT_SYSCALL_TABLE = "syscalls-linux-2.4-i386.txt"
+# bundled name-to-id tables, by the name `ingest --syscall-table` takes
+SYSCALL_TABLES = {
+    "linux-2.4-i386": "syscalls-linux-2.4-i386.txt",
+    "linux-x86_64": "syscalls-linux-x86_64.txt",
+}
+DEFAULT_SYSCALL_TABLE = "linux-2.4-i386"
 
 
 @dataclass(frozen=True)
@@ -44,25 +53,47 @@ def parse_strace_text(text: str) -> tuple[list[str], int, int]:
     Returns (calls, line_count, skipped_count).  skipped counts every line
     with no recognizable call initiation: blanks, '--- SIGxxx ---' signal
     lines, '<... name resumed>' markers, '+++ exited ...' lines, comments.
+
+    A call line is decided by the text before its first '(' alone, so the
+    pattern runs once per distinct head, and every call of one name shares
+    one string.
     """
     lines = text.splitlines()
     calls: list[str] = []
+    append = calls.append
+    names: dict[str, str | None] = {}
     for line in lines:
-        match = _CALL_LINE.match(line)
-        if match:
-            calls.append(match.group(1))
+        head, paren, _ = line.partition("(")
+        if not paren:
+            continue
+        try:
+            name = names[head]
+        except KeyError:
+            match = _CALL_LINE.match(line)
+            name = names[head] = match.group(1) if match else None
+        if name is not None:
+            append(name)
     return calls, len(lines), len(lines) - len(calls)
+
+
+def pid_suffix(path) -> int | None:
+    """The PID of a trace file named <prefix>.<pid>, or None for any other name.
+
+    Only ASCII digits count: str.isdigit() also admits characters such as
+    '\u00b2' that int() does not parse.
+    """
+    suffix = str(path).rsplit(".", 1)[-1]
+    return int(suffix) if suffix.isascii() and suffix.isdecimal() else None
 
 
 def parse_strace_file(path) -> tuple[PidTrace, int, int]:
     """Parse one per-PID trace file named <prefix>.<pid>."""
-    path_str = str(path)
-    suffix = path_str.rsplit(".", 1)[-1]
-    if not suffix.isdigit():
-        raise ValueError(f"trace file name must end in .<pid>: {path_str!r}")
+    pid = pid_suffix(path)
+    if pid is None:
+        raise ValueError(f"trace file name must end in .<pid>: {str(path)!r}")
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         calls, total, skipped = parse_strace_text(fh.read())
-    return PidTrace(int(suffix), tuple(calls)), total, skipped
+    return PidTrace(pid, tuple(calls)), total, skipped
 
 
 def load_syscall_map_text(text: str) -> SyscallMap:
@@ -103,10 +134,15 @@ def load_syscall_map(path) -> SyscallMap:
         return load_syscall_map_text(fh.read())
 
 
+def bundled_syscall_map(table: str) -> SyscallMap:
+    """One of the bundled tables, by its key in SYSCALL_TABLES."""
+    text = files("motiftrack").joinpath(f"data/{SYSCALL_TABLES[table]}").read_text("utf-8")
+    return load_syscall_map_text(text)
+
+
 def default_syscall_map() -> SyscallMap:
     """The bundled reference table (Linux 2.4 series, i386)."""
-    text = files("motiftrack").joinpath(f"data/{DEFAULT_SYSCALL_TABLE}").read_text("utf-8")
-    return load_syscall_map_text(text)
+    return bundled_syscall_map(DEFAULT_SYSCALL_TABLE)
 
 
 def concatenate_pid_traces(parent: PidTrace, children) -> list[str]:
@@ -123,21 +159,25 @@ def concatenate_pid_traces(parent: PidTrace, children) -> list[str]:
     return out
 
 
-def encode_series(calls, syscall_map: SyscallMap, strict: bool = False) -> tuple[TimeSeries, int]:
+def encode_series(
+    calls: Sequence[str], syscall_map: SyscallMap, strict: bool = False
+) -> tuple[TimeSeries, int]:
     """Map call names to ids in order; returns (series, dropped_count).
 
-    With strict=True an unknown name raises, naming the call and its
+    With strict=True an unknown name raises, naming the first one and its
     position; otherwise unknown names are dropped and counted.
     """
-    ids: list[int] = []
-    dropped = 0
-    for pos, name in enumerate(calls):
-        try:
-            ids.append(syscall_map.entries[name])
-        except KeyError:
-            if strict:
-                raise ValueError(f"unknown syscall {name!r} at position {pos}") from None
-            dropped += 1
-    if not ids:
+    # ids are integers, so NaN marks an unknown name whatever ids a map holds
+    ids = np.fromiter(
+        map(syscall_map.entries.get, calls, repeat(np.nan)), dtype=np.float64, count=len(calls)
+    )
+    unknown = np.isnan(ids)
+    dropped = int(np.count_nonzero(unknown))
+    if dropped:
+        if strict:
+            pos = int(np.argmax(unknown))
+            raise ValueError(f"unknown syscall {calls[pos]!r} at position {pos}")
+        ids = ids[~unknown]
+    if ids.size == 0:
         raise ValueError("empty input")
-    return TimeSeries(np.array(ids, dtype=np.float64)), dropped
+    return TimeSeries(ids), dropped

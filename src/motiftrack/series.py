@@ -87,20 +87,35 @@ def load_series_text(text: str, label: str | None = None) -> TimeSeries:
     """Parse the one-number-per-line series format.
 
     Blank lines and lines starting with '#' are ignored.  Values may be
-    integers or decimals.
+    integers or decimals.  A line that is not a number, or whose value is
+    not finite, is reported with its 1-based line number.
     """
-    values = []
+    values: list[float] = []
+    append = values.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        # most lines are bare numbers; float() strips the whitespace
+        # str.strip() does except ASCII \x1c-\x1f, and no blank or '#' line
+        # parses, so the rest are stripped and classified here
         try:
-            values.append(float(line))
+            append(float(raw))
         except ValueError:
-            raise ValueError(f"line {lineno}: not a number: {line!r}") from None
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                append(float(line))
+            except ValueError:
+                raise ValueError(f"line {lineno}: not a number: {line!r}") from None
     if not values:
         raise ValueError("empty input")
-    return TimeSeries(np.array(values, dtype=np.float64), label=label)
+    arr = np.array(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        # only the error path pays a second pass, to find the line
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line and not line.startswith("#") and not math.isfinite(float(line)):
+                raise ValueError(f"line {lineno}: not a finite number: {line!r}")
+    return TimeSeries(arr, label=label)
 
 
 def load_series_file(path) -> TimeSeries:
@@ -110,8 +125,8 @@ def load_series_file(path) -> TimeSeries:
 
 def dump_series_text(values) -> str:
     """Render values in the series file format, integers without a decimal point."""
-    lines = []
-    for v in np.asarray(values, dtype=np.float64):
-        f = float(v)
-        lines.append(str(int(f)) if f.is_integer() else repr(f))
+    lines = [
+        str(int(f)) if f.is_integer() else repr(f)
+        for f in np.asarray(values, dtype=np.float64).tolist()
+    ]
     return "\n".join(lines) + "\n"

@@ -63,6 +63,13 @@ class TestDiscover:
         result = runner.invoke(main, ["discover", str(path)])
         assert result.exit_code == 2
 
+    def test_nonfinite_value_reports_line(self, runner, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("1\n# c\n\nnan\n3\n")
+        result = runner.invoke(main, ["discover", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: bad series file {path}: line 4: not a finite number: 'nan'\n"
+
     def test_negative_flags_rejected(self, runner, planted_series_file):
         for args in (["-r", "-1"], ["--min-length", "-5"]):
             result = runner.invoke(main, ["discover", str(planted_series_file), *args])
@@ -194,6 +201,63 @@ class TestIngest:
         )
         assert result.exit_code == 2
         assert "line 2" in result.stderr
+
+    def test_prefix_with_glob_metacharacters(self, runner, tmp_path):
+        directory = tmp_path / "run[1]"
+        directory.mkdir()
+        prefix = self.copy_traces(directory)
+        out = tmp_path / "series.txt"
+        result = runner.invoke(main, ["ingest", str(prefix), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output == "parsed=25 skipped=7 dropped=1 emitted=17\n"
+        assert out.read_text() == EXPECTED_SERIES
+
+    def test_non_ascii_digit_suffix_ignored(self, runner, tmp_path):
+        # "\u00b2".isdigit() is true, but it is no PID
+        prefix = self.copy_traces(tmp_path)
+        shutil.copy(STRACE_DIR / "trace.2001", tmp_path / "trace.\u00b2")
+        out = tmp_path / "series.txt"
+        result = runner.invoke(main, ["ingest", str(prefix), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_text() == EXPECTED_SERIES
+        (tmp_path / "lone").mkdir()
+        shutil.copy(STRACE_DIR / "trace.2001", tmp_path / "lone" / "trace.\u00b2")
+        result = runner.invoke(main, ["ingest", str(tmp_path / "lone" / "trace"), "-o", str(out)])
+        assert result.exit_code == 2
+        assert "no trace files" in result.stderr
+
+    def test_syscall_table_x86_64(self, runner, tmp_path):
+        names = ["openat", "newfstatat", "getrandom", "clone3", "pread64", "epoll_wait"]
+        (tmp_path / "trace.7").write_text("".join(f"{n}(3) = 0\n" for n in names))
+        out = tmp_path / "series.txt"
+        args = ["ingest", str(tmp_path / "trace"), "-o", str(out)]
+        result = runner.invoke(main, [*args, "--syscall-table", "linux-x86_64", "--strict"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "parsed=6 skipped=0 dropped=0 emitted=6\n"
+        assert out.read_text() == "257\n262\n318\n435\n17\n232\n"
+        # the 2.4 i386 table stays the default, and knows none of them
+        result = runner.invoke(main, [*args, "--strict"])
+        assert result.exit_code == 2
+        assert "'openat' at position 0" in result.stderr
+
+    def test_syscall_table_and_map_exclusive(self, runner, tmp_path):
+        prefix = self.copy_traces(tmp_path)
+        table = tmp_path / "tiny.map"
+        table.write_text("read 3\n")
+        result = runner.invoke(main, [
+            "ingest", str(prefix), "--syscall-table", "linux-x86_64",
+            "--syscall-map", str(table), "-o", str(tmp_path / "s.txt"),
+        ])
+        assert result.exit_code == 2
+        assert "mutually exclusive" in result.stderr
+        assert not (tmp_path / "s.txt").exists()
+
+    def test_unknown_syscall_table_rejected(self, runner, tmp_path):
+        prefix = self.copy_traces(tmp_path)
+        result = runner.invoke(
+            main, ["ingest", str(prefix), "--syscall-table", "linux-9", "-o", str(tmp_path / "s")]
+        )
+        assert result.exit_code == 2
 
     def test_custom_map(self, runner, tmp_path):
         path = tmp_path / "trace.7"

@@ -1,9 +1,10 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motiftrack import (
@@ -13,6 +14,50 @@ from motiftrack import (
     load_series_text,
     z_normalize,
 )
+
+
+def reference_load(text):
+    """The strip-first loop load_series_text replaced; returns the values list."""
+    values = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise ValueError(f"line {lineno}: not a number: {line!r}") from None
+    if not values:
+        raise ValueError("empty input")
+    return values
+
+
+def reference_dump(values):
+    """The per-numpy-scalar loop dump_series_text replaced."""
+    lines = []
+    for v in np.asarray(values, dtype=np.float64):
+        f = float(v)
+        lines.append(str(int(f)) if f.is_integer() else repr(f))
+    return "\n".join(lines) + "\n"
+
+
+# pieces of series-file lines: finite numbers in several spellings, blanks,
+# comments, whitespace str.strip() and float() both remove, and garbage
+SERIES_PIECES = [
+    "1", "-2", "3.5", "1e3", "1e1_000", "9" * 310, "-0", "0.0", "1_000", "+7", "\u0663", "0x1", "1 2", "abc",
+    "#", "# c 4", " ", "\t", "\xa0", "\x1f", "\u3000", "", ".", "e", "-",
+]
+series_like_text = st.lists(
+    st.tuples(st.lists(st.sampled_from(SERIES_PIECES), max_size=3).map("".join),
+              st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"])),
+    max_size=12,
+).map(lambda rows: "".join(line + brk for line, brk in rows))
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.1, -2.5, 1.5e-7,
+    2.0**53, 2.0**53 + 2, -(2.0**53) - 2, 2.0**63, 2.0**64 + 2**12, 1e22, 1e300,
+    1.7976931348623157e308, -1.7976931348623157e308, 123456789.125, 4503599627370495.5,
+]
 
 
 class TestTimeSeries:
@@ -175,3 +220,70 @@ class TestSeriesFiles:
     def test_round_trip_decimals(self):
         values = [1.5, -2.25, 7.0]
         assert list(load_series_text(dump_series_text(values)).values) == values
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "  NaN ", "1e999"])
+    def test_nonfinite_reported_with_line_number(self, bad):
+        text = f"1\n# c\n\n{bad}\n3\n"
+        with pytest.raises(ValueError, match=f"^line 4: not a finite number: {bad.strip()!r}$"):
+            load_series_text(text)
+
+    def test_separator_whitespace_float_keeps(self):
+        # str.strip() removes \x1f, float() does not; such lines were and are values
+        assert list(load_series_text("1\x1f\n\x1f2\n# c\x1f\n").values) == [1.0, 2.0]
+        with pytest.raises(ValueError, match="^line 2: not a finite number: 'nan'$"):
+            load_series_text("1\nnan\x1f\n")
+
+    def test_first_nonfinite_line_reported(self):
+        with pytest.raises(ValueError, match="^line 3: not a finite number: 'inf'$"):
+            load_series_text("  # lead\n2\n inf\n-inf\n")
+
+    def test_garbage_before_nonfinite_reported_as_garbage(self):
+        with pytest.raises(ValueError, match="^line 3: not a number: 'x'$"):
+            load_series_text("nan\n1\nx\n")
+
+    def test_line_numbers_with_comments_blanks_and_indent(self):
+        text = "# header\n\n   1\n\t# indented comment\n \xa02.5\n\n  oops \n"
+        with pytest.raises(ValueError, match="^line 7: not a number: 'oops'$"):
+            load_series_text(text)
+        assert list(load_series_text(text[: text.index("  oops")]).values) == [1.0, 2.5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(series_like_text)
+    def test_load_matches_reference(self, text):
+        try:
+            want = reference_load(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                load_series_text(text)
+            return
+        if not all(map(math.isfinite, want)):
+            # "1e1_000" overflows to inf; the reference left that to TimeSeries
+            with pytest.raises(ValueError, match=r"^line \d+: not a finite number: "):
+                load_series_text(text)
+            return
+        got = load_series_text(text).values
+        assert got.tobytes() == (np.array(want) + 0.0).tobytes()
+
+    @pytest.mark.parametrize("values", [EDGE_FLOATS, [2.0**53 + 2 * k for k in range(50)], []])
+    def test_dump_matches_reference_on_edges(self, values):
+        assert dump_series_text(values) == reference_dump(values)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_dump_matches_reference(self, values):
+        assert dump_series_text(values) == reference_dump(values)
+
+    def test_dump_accepts_integer_arrays(self):
+        values = np.array([3, -4, 2**60], dtype=np.int64)
+        assert dump_series_text(values) == reference_dump(values) == "3\n-4\n1152921504606846976\n"
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_round_trip_bit_for_bit(self, values):
+        arr = np.array(values, dtype=np.float64)
+        got = load_series_text(dump_series_text(arr)).values
+        # TimeSeries folds -0.0 into +0.0
+        assert got.tobytes() == (arr + 0.0).tobytes()
+
+    def test_round_trip_edges_bit_for_bit(self):
+        arr = np.array(EDGE_FLOATS)
+        got = load_series_text(dump_series_text(arr)).values
+        assert got.tobytes() == (arr + 0.0).tobytes()
