@@ -101,6 +101,7 @@ def load_syscall_map_text(text: str) -> SyscallMap:
 
     Duplicate names and duplicate ids are both rejected: motif semantics
     depend only on id equality, and a silently shared id would merge calls.
+    So are ids above 2**53, which the float64 series cannot hold apart.
     """
     entries: dict[str, int] = {}
     seen_ids: dict[int, str] = {}
@@ -118,6 +119,8 @@ def load_syscall_map_text(text: str) -> SyscallMap:
             raise ValueError(f"line {lineno}: id for {name!r} is not an integer") from None
         if call_id < 0:
             raise ValueError(f"line {lineno}: id for {name!r} is negative")
+        if call_id > 2**53:
+            raise ValueError(f"line {lineno}: id for {name!r} is too large")
         if name in entries:
             raise ValueError(f"line {lineno}: duplicate syscall name {name!r}")
         if call_id in seen_ids:

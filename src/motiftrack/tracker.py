@@ -2,18 +2,18 @@
 
 The paper's Motif Tracking Algorithm grows string trackers one symbol per
 generation.  Here the cycle runs on integer classes (Karp-Miller-Rosenberg
-naming): at generation g each start holds a word id, equal for equal words
-of g symbols (g*s points), and at r = 0 a raw-window id, equal for equal
-raw values; each generation refines both by the next s-point block with one
-np.unique.  The trackers are a per-start mask: the word's (g-1)-symbol
-prefix was confirmed at g-1 and its last symbol at generation 1 (the
-mutation template).  Words seen at least twice among the candidates,
-thinned by trivial-match elimination, are confirmed against the data: at
-r = 0 by equal raw-window ids, at r > 0 by single-linkage groups, windows
-chained by Euclidean distances (z-normalized units) within r, for all of a
-generation's words at once in shared rounds.  Confirmed repeats accumulate
-in a memory pool, each with its symbol text cut from the symbol matrix, and
-the pool is finally streamlined into a canonical motif set.
+naming): at generation g each start holds a word id, equal for equal words of
+g symbols (g*s points), and a raw-window id, equal for equal raw values; each
+generation refines both by the next s-point block with one np.unique.  The
+trackers are a per-start mask: the word's (g-1)-symbol prefix was confirmed at
+g-1 and its last symbol at generation 1 (the mutation template).  Words seen at
+least twice among the candidates, thinned by trivial-match elimination, are
+confirmed against the data: each word's starts fall into raw classes, the
+oracle's exact repeats and at r = 0 the groups; at r > 0 single-linkage chains
+the classes whose windows lie within r (Euclidean distance, z-normalized
+units), in shared rounds.  Confirmed repeats accumulate in a memory pool, each
+with its symbol text cut from the symbol matrix, and the pool is finally
+streamlined into a canonical motif set.
 
 There is no randomness anywhere in the cycle: "mutation" enumerates the
 fixed template symbols, so identical inputs always produce identical output.
@@ -56,12 +56,12 @@ class MtaConfig:
 class CandidateMatrix:
     """A generation's words, one per start i <= m - g*s.
 
-    Equal ids[i] mean equal symbol words; equal raw[i] (exact mode only)
-    equal raw values.  words holds the candidate starts, ascending.
+    Equal ids[i] mean equal symbol words; equal raw[i] equal raw values
+    (hence equal words).  words holds the candidate starts, ascending.
     """
 
     ids: np.ndarray
-    raw: np.ndarray | None
+    raw: np.ndarray
     words: np.ndarray
     generation: int
     symbol_length: int
@@ -100,15 +100,18 @@ def _refine(ids: np.ndarray, nxt: np.ndarray) -> np.ndarray:
 
 def _window_ids(values: np.ndarray, s: int) -> np.ndarray:
     """Ids of every s-point window, equal iff the raw values are (TimeSeries folds -0.0)."""
-    point = ids = np.unique(values, return_inverse=True)[1]
-    for k in range(1, s):
-        ids = _refine(ids[:-1], point[k:])
+    ids, width = np.unique(values, return_inverse=True)[1], 1
+    while width < s:
+        # the windows at i and i + step cover the one at i of width + step points
+        step = min(width, s - width)
+        ids = _refine(ids[:-step], ids[step:])
+        width += step
     return ids
 
 
 def build_candidate_matrix(
     letters: np.ndarray,
-    blocks: np.ndarray | None,
+    blocks: np.ndarray,
     previous: CandidateMatrix | None,
     symbol_length: int,
     tme_enabled: bool,
@@ -117,8 +120,8 @@ def build_candidate_matrix(
 
     The word at start i concatenates symbols i, i+s, ..., i+(g-1)s.
     Generation 1's ids are letters (every window's letter index) and blocks
-    (its raw-window id, exact mode only); each later generation refines
-    previous's ids by the window after each word, i + (g-1)*s.
+    (its raw-window id); each later generation refines previous's ids and
+    raw ids by the window after each word, i + (g-1)*s.
 
     With TME on, a word equal to the last retained one is dropped, at most s
     times in a row: a subsequence may only eliminate windows starting inside
@@ -132,7 +135,7 @@ def build_candidate_matrix(
         generation = previous.generation + 1
         n, at = max(previous.ids.size - s, 0), previous.point_span
         ids = _refine(previous.ids[:n], letters[at : at + n])
-        raw = None if blocks is None else _refine(previous.raw[:n], blocks[at : at + n])
+        raw = _refine(previous.raw[:n], blocks[at : at + n])
     starts = np.arange(ids.size)
     if tme_enabled:
         fresh = np.ones(ids.size, dtype=bool)
@@ -158,20 +161,20 @@ def confirm_motifs(
 ) -> list[list[int]]:
     """Check each matched word's candidates against the underlying data.
 
-    With raw ids (exact mode) a word's starts are grouped by raw-window id,
-    the oracle's exact repeat.  Otherwise the groups are single-linkage:
-    windows of values chained by Euclidean distances within the threshold,
-    for all words at once in _chain_labels' shared rounds.  Returns every
+    A word's starts are grouped by raw-window id, the oracle's exact
+    repeat.  A positive threshold is the one difference between the modes:
+    _chain_labels then joins those classes single-linkage, windows of
+    values chained by Euclidean distances within it, for all words at once
+    in shared rounds (equal raw windows are at distance 0).  Returns every
     group of two or more starts, ascending, ordered by first start; one
     word can have several.
     """
     ids = matrix.ids
     starts = matrix.words[np.isin(ids[matrix.words], matched)]
     starts = starts[np.argsort(ids[starts], kind="stable")]  # by word, then start
-    if matrix.raw is not None:
-        labels = matrix.raw[starts]
-    else:
-        labels = _chain_labels(values, matrix.point_span, starts, ids[starts], threshold)
+    labels = matrix.raw[starts]
+    if threshold > 0:
+        labels = _chain_labels(values, matrix.point_span, starts, ids[starts], labels, threshold)
     order = np.lexsort((starts, labels))
     labels, starts = labels[order], starts[order]
     bounds = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
@@ -201,25 +204,28 @@ def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float)
     return np.sqrt(np.add.reduce(diff, axis=1)) <= threshold
 
 
-def _chain_labels(values: np.ndarray, span: int, starts: np.ndarray, words: np.ndarray, threshold: float):
+def _chain_labels(
+    values: np.ndarray, span: int, starts: np.ndarray, words: np.ndarray, raw: np.ndarray, threshold: float
+) -> np.ndarray:
     """Single-linkage group labels of every tracker's starts, in shared rounds.
 
     starts holds the trackers' starts side by side, each tracker a segment
-    of equal word ids in words (ascending), its starts ascending.  Round t
-    takes row t of every live tracker at once: the row's distances, by
-    euclidean_distance's formula, to the later starts of its own tracker
-    whose group label differs from its own, so every d <= r decision is the
-    one a pairwise loop makes.  The groups of the starts within the
-    threshold join the row's group.  Pairs already in one group are
-    skipped, since they cannot change the groups.  A tracker whose row finds
-    no such pair leaves the rounds: all its later starts then share the
-    row's group, so no later row of it can find one either.  Returns one
-    label per start; equal labels mean one group.
+    of equal word ids in words (ascending), its starts ascending.  The
+    labels begin as their raw ids (each raw class lies within one
+    tracker).  Round t takes row t of every live tracker at once: the row's
+    distances, by euclidean_distance's formula, to the later starts of its
+    own tracker whose label differs from its own, so every d <= r decision
+    is the one a pairwise loop makes.  The groups of the starts within the
+    threshold join the row's group.  Pairs already in one group, identical
+    windows among them, are skipped, since they cannot change the groups.  A
+    tracker whose row finds no such pair leaves the rounds: all its later
+    starts then share the row's group, so no later row of it can find one
+    either.  Returns one label per start; equal labels mean one group.
     """
     # every start after the first of its tracker, and that tracker's first position
     pos = np.flatnonzero(words[1:] == words[:-1]) + 1
     base = np.searchsorted(words, words[pos])
-    label = np.arange(starts.size)
+    label, size = raw, int(raw.max(initial=-1)) + 1
     if pos.size:
         # every window of the series as a row of one strided view, no copy
         values = np.ascontiguousarray(values)
@@ -234,7 +240,7 @@ def _chain_labels(values: np.ndarray, span: int, starts: np.ndarray, words: np.n
         near = _within(windows, starts[col], starts[row], threshold)
         joined = label[col[near]]
         if joined.size:
-            target = np.arange(label.size)
+            target = np.arange(size)
             target[joined] = label[row[near]]
             label = target[label]
         # trackers, by first position, whose row found a pair to compute
@@ -285,26 +291,20 @@ def encapsulates(big: MemoryMotif, small: MemoryMotif) -> bool:
 
 
 def streamline(pool) -> MotifSet:
-    """Collapse duplicates, drop encapsulated motifs, and order canonically.
+    """Drop encapsulated motifs and order the rest canonically.
 
-    A motif is dropped iff a retained motif at least as long covers every one
-    of its occurrence intervals.  Processing runs longest first (richer
-    occurrence sets first among equal lengths, so a superset is always seen
-    before its subsets); the survivors form the unique maximal antichain.
-    Output order is descending point length, then ascending occurrences.
+    A motif is dropped iff a retained motif at least as long covers each of
+    its occurrence intervals, as a copy covers a duplicate.  Processing runs
+    longest first (richer occurrence sets first among equal lengths, so a
+    superset is seen before its subsets); the survivors form the unique
+    maximal antichain.  Output is longest first, then by occurrences.
 
     An index keeps this from comparing all pairs: the retained motifs'
     starts are kept sorted per length, and a candidate is tested only
     against the retained motifs with an occurrence covering its first
     interval, each with the bisect cover check of encapsulates.
     """
-    unique: dict = {}
-    for mot in pool:
-        unique.setdefault((mot.text, mot.point_length, mot.occurrences), mot)
-    motifs = sorted(
-        unique.values(),
-        key=lambda mo: (-mo.point_length, -len(mo.occurrences), mo.occurrences, mo.text),
-    )
+    motifs = sorted(pool, key=lambda mo: (-mo.point_length, -len(mo.occurrences), mo.occurrences, mo.text))
     index: dict[int, tuple[list[int], list[int]]] = {}  # length -> retained starts, owners
     sorted_starts: list[list[int]] = []  # per retained motif
     retained: list[MemoryMotif] = []
@@ -350,9 +350,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     norm = z_normalize(series)
     matrix = build_symbol_matrix(norm, config.sax)
     letters = np.frombuffer(matrix.symbols.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("a")
-    # the one place exact mode is decided: raw-window ids compare raw values;
-    # without them, confirmation measures z-normalized distances
-    blocks = _window_ids(series.values, s) if config.match_threshold == 0 else None
+    blocks = _window_ids(series.values, s)
     trackers = np.ones(letters.size, dtype=bool)
     candidates = template = None
     pool: list[MemoryMotif] = []

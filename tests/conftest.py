@@ -107,25 +107,38 @@ def letters_of(symbols: str) -> np.ndarray:
     return np.frombuffer(symbols.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("a")
 
 
-def candidates_at(symbols: str, s: int, generation: int, tme: bool = False, blocks=None):
-    """Generation g's candidate matrix of a symbol string, built one generation at a time."""
+def window_ids(values, span: int) -> np.ndarray:
+    """Ids of every span-point window of values, numbered by their bytes."""
+    values = np.asarray(values, dtype=float)
+    seen: dict = {}
+    return np.array(
+        [seen.setdefault(values[i : i + span].tobytes(), len(seen)) for i in range(values.size - span + 1)],
+        dtype=np.int64,
+    )
+
+
+def candidates_at(symbols: str, s: int, generation: int, tme: bool = False, values=None):
+    """Generation g's candidate matrix of a symbol string, built one generation at a time.
+
+    Raw ids number the s-point windows of the series values by their bytes,
+    as run_mta does.  Without values the letters stand in for them, which
+    only serves where nothing is confirmed at r > 0: there they would join
+    windows of equal text.
+    """
     letters, matrix = letters_of(symbols), None
+    blocks = letters if values is None else window_ids(values, s)
     for _ in range(generation):
         matrix = build_candidate_matrix(letters, blocks, matrix, s, tme)
     return matrix
 
 
-def hand_matrix(values, span: int, words, ids=None, exact: bool = False):
+def hand_matrix(values, span: int, words, ids=None):
     """A one-generation matrix of span points over hand-picked candidate starts.
 
-    Every start shares one word unless ids gives each start's word.  With
-    exact, raw ids number the windows by their bytes, as exact mode does.
+    Every start shares one word unless ids gives each start's word.  Raw
+    ids number the windows by their bytes, as run_mta does.
     """
     values = np.asarray(values, dtype=float)
     n = values.size - span + 1
     ids = np.zeros(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
-    raw = None
-    if exact:
-        seen: dict = {}
-        raw = np.array([seen.setdefault(values[i : i + span].tobytes(), len(seen)) for i in range(n)])
-    return CandidateMatrix(ids, raw, np.asarray(words, dtype=np.intp), 1, span)
+    return CandidateMatrix(ids, window_ids(values, span), np.asarray(words, dtype=np.intp), 1, span)

@@ -202,6 +202,18 @@ class TestIngest:
         assert result.exit_code == 2
         assert "line 2" in result.stderr
 
+    @pytest.mark.parametrize("big", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_map_id_too_large_for_series(self, runner, tmp_path, big):
+        prefix = self.copy_traces(tmp_path)
+        bad_map = tmp_path / "big.map"
+        bad_map.write_text(f"read {2**53}\nwrite {big}\n")
+        result = runner.invoke(
+            main,
+            ["ingest", str(prefix), "--syscall-map", str(bad_map), "-o", str(tmp_path / "s.txt")],
+        )
+        assert result.exit_code == 2
+        assert "line 2: id for 'write' is too large" in result.stderr
+
     def test_prefix_with_glob_metacharacters(self, runner, tmp_path):
         directory = tmp_path / "run[1]"
         directory.mkdir()

@@ -216,6 +216,14 @@ class TestSyscallMap:
         with pytest.raises(ValueError, match="negative"):
             load_syscall_map_text("read -3\n")
 
+    def test_id_beyond_float64_integers_rejected(self):
+        # 2**53 + 1 would encode as 2**53 and merge with the call above it
+        table = load_syscall_map_text(f"read {2**53}\n")
+        assert table.entries == {"read": 2**53}
+        for big in (2**53 + 1, 10**400):
+            with pytest.raises(ValueError, match="line 2: id for 'write' is too large"):
+                load_syscall_map_text(f"read {2**53}\nwrite {big}\n")
+
     def test_bundled_table_spot_values(self):
         table = default_syscall_map()
         spot = {"read": 3, "write": 4, "open": 5, "close": 6, "execve": 11,

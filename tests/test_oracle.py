@@ -205,18 +205,28 @@ def pair_graph_components(pairs, starts):
 
 
 def threshold_instances(count: int, seed: int = 20261019):
-    """Small seeded series of three shapes: few-valued integers (many equal
-    windows), a random walk and Gaussian noise."""
+    """Small seeded series of five shapes: few-valued integers, a random
+    walk, Gaussian noise, constant runs and a repeated integer block.  The
+    first, fourth and fifth have many equal windows."""
     rng = random.Random(seed)
     for i in range(count):
         m = rng.randint(20, 120)
-        shape = i % 3
+        shape = i % 5
         if shape == 0:
             vals = [float(rng.randrange(4)) for _ in range(m)]
         elif shape == 1:
             vals = list(np.cumsum([rng.gauss(0, 1) for _ in range(m)]))
-        else:
+        elif shape == 2:
             vals = [rng.gauss(0, 1) for _ in range(m)]
+        elif shape == 3:
+            vals = []
+            while len(vals) < m:
+                vals += [float(rng.randrange(5))] * rng.randint(1, 30)
+            vals = vals[:m]
+        else:
+            block = [float(rng.randrange(10)) for _ in range(rng.randint(2, 9))]
+            vals = (block * (m // len(block) + 1))[:m]
+            vals[rng.randrange(m)] += 0.5
         yield i, rng.randint(1, 4), rng.randint(2, 6), TimeSeries(np.array(vals))
 
 
@@ -225,7 +235,7 @@ class TestThresholdGroupsReference:
     brute-force pair graph on that word's candidate starts."""
 
     def test_groups_equal_pair_graph_components(self):
-        for index, s, a, series in threshold_instances(90):
+        for index, s, a, series in threshold_instances(150):
             norm = z_normalize(series)
             symbols = build_symbol_matrix(norm, SaxConfig(s, a)).symbols
             r = (0.1, 0.5, 1.0, 2.0)[index % 4]
@@ -233,7 +243,7 @@ class TestThresholdGroupsReference:
                 span = generation * s
                 if span > len(series):
                     break
-                candidates = candidates_at(symbols, s, generation, index % 2 == 1)
+                candidates = candidates_at(symbols, s, generation, index % 2 == 1, series.values)
                 pairs = brute_force_threshold_pairs(series, span, r)
                 by_word = {}
                 for x in candidates.words.tolist():

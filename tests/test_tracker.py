@@ -171,7 +171,7 @@ class TestConfirm:
         vals = [float(i) for i in range(60)]
         vals[10:14] = [9.0, 7.0, 9.0, 7.0]
         vals[50:54] = [9.0, 7.0, 9.0, 7.0]
-        cm = hand_matrix(vals, 4, [10, 50], exact=True)
+        cm = hand_matrix(vals, 4, [10, 50])
         found = confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0)
         assert found == [[10, 50]]
         assert eliminate_unconfirmed(cm, found).tolist() == [True]
@@ -180,7 +180,7 @@ class TestConfirm:
         vals = [float(i) for i in range(60)]
         vals[10:14] = [9.0, 7.0, 9.0, 7.0]
         vals[50:54] = [9.0, 7.0, 9.0, 8.0]
-        cm = hand_matrix(vals, 4, [10, 50], exact=True)
+        cm = hand_matrix(vals, 4, [10, 50])
         found = confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0)
         assert found == []
         assert eliminate_unconfirmed(cm, found).tolist() == [False]
@@ -191,7 +191,7 @@ class TestConfirm:
         block = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0] * 2
         for start in (387, 620, 669):
             vals[start : start + 20] = block
-        cm = hand_matrix(vals, 20, [387, 620, 669], exact=True)
+        cm = hand_matrix(vals, 20, [387, 620, 669])
         assert confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0) == [[387, 620, 669]]
 
     def test_colliding_classes_stay_separate(self):
@@ -201,7 +201,7 @@ class TestConfirm:
         vals[10:12] = [1.0, 1.0]
         vals[20:22] = [2.0, 2.0]
         vals[30:32] = [2.0, 2.0]
-        cm = hand_matrix(vals, 2, [0, 10, 20, 30], exact=True)
+        cm = hand_matrix(vals, 2, [0, 10, 20, 30])
         assert confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0) == [[0, 10], [20, 30]]
 
     def test_threshold_admits_near_misses(self):
@@ -273,10 +273,11 @@ class TestConfirmSharedRounds:
             else:
                 vals = np.where(rng.random(m) < 0.7, 0.0, rng.standard_normal(m))
             s = 1 + seed % 3
-            norm_values = z_normalize(TimeSeries(vals)).values
-            symbols = build_symbol_matrix(z_normalize(TimeSeries(vals)), SaxConfig(s, 4)).symbols
+            series = TimeSeries(vals)
+            norm_values = z_normalize(series).values
+            symbols = build_symbol_matrix(z_normalize(series), SaxConfig(s, 4)).symbols
             for generation in (1, 2, 4):
-                cm = candidates_at(symbols, s, generation, tme)
+                cm = candidates_at(symbols, s, generation, tme, series.values)
                 counts = match_trackers(cm, np.ones(cm.ids.size, dtype=bool))
                 sizes_seen.update(counts[counts > 0].tolist())
                 present = np.flatnonzero(counts)
@@ -560,14 +561,19 @@ class TestRunMta:
 
 
 class TestTimeBudget:
-    """Shapes whose every window repeats stay fast at the paper's capture size."""
+    """Shapes whose every window repeats stay fast at the paper's capture size,
+    in both modes: at r > 0 equal windows share a raw class and are never measured."""
 
     M = 8040
 
-    def timed(self, values, tme):
+    def timed(self, values, tme, r=0.0):
         begin = time.perf_counter()
-        out = run_mta(TimeSeries(values), MtaConfig(SaxConfig(10, 10), 0.0, tme))
+        out = run_mta(TimeSeries(values), MtaConfig(SaxConfig(10, 10), r, tme))
         return out, time.perf_counter() - begin
+
+    def period_37(self):
+        period = np.random.default_rng(0).standard_normal(37)
+        return np.tile(period, self.M // 37 + 1)[: self.M]
 
     def test_constant_series(self):
         out, seconds = self.timed(np.full(self.M, 5.0), False)
@@ -575,8 +581,17 @@ class TestTimeBudget:
         assert len(out) == 1
 
     def test_period_37_with_tme(self):
-        period = np.random.default_rng(0).standard_normal(37)
-        out, seconds = self.timed(np.tile(period, self.M // 37 + 1)[: self.M], True)
+        out, seconds = self.timed(self.period_37(), True)
+        assert seconds < 15
+        assert len(out) == 10
+
+    def test_constant_series_threshold(self):
+        out, seconds = self.timed(np.full(self.M, 5.0), False, 0.5)
+        assert seconds < 15
+        assert len(out) == 1
+
+    def test_period_37_with_tme_threshold(self):
+        out, seconds = self.timed(self.period_37(), True, 0.5)
         assert seconds < 15
         assert len(out) == 10
 
