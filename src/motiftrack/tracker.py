@@ -11,9 +11,11 @@ least twice among the candidates, thinned by trivial-match elimination, are
 confirmed against the data: each word's starts fall into raw classes, the
 oracle's exact repeats and at r = 0 the groups; at r > 0 single-linkage chains
 the classes whose windows lie within r (Euclidean distance, z-normalized
-units), in shared rounds.  Confirmed repeats accumulate in a memory pool, each
-with its symbol text cut from the symbol matrix, and the pool is finally
-streamlined into a canonical motif set.
+units), in one pass over one representative window per class, pairs whose
+mean or PAA lower bound exceeds r pruned before their distance is computed.
+Confirmed repeats accumulate in a memory pool, each with its symbol text cut
+from the symbol matrix, and the pool is finally streamlined into a canonical
+motif set.
 
 There is no randomness anywhere in the cycle: "mutation" enumerates the
 fixed template symbols, so identical inputs always produce identical output.
@@ -22,6 +24,7 @@ fixed template symbols, so identical inputs always produce identical output.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -164,26 +167,26 @@ def confirm_motifs(
     A word's starts are grouped by raw-window id, the oracle's exact
     repeat.  A positive threshold is the one difference between the modes:
     _chain_labels then joins those classes single-linkage, windows of
-    values chained by Euclidean distances within it, for all words at once
-    in shared rounds (equal raw windows are at distance 0).  Returns every
-    group of two or more starts, ascending, ordered by first start; one
-    word can have several.
+    values chained by Euclidean distances within it, for all words in one
+    pass over one representative window per class (equal raw windows are at
+    distance 0).  Returns every group of two or more starts, ascending,
+    ordered by first start; one word can have several.
     """
     ids = matrix.ids
     starts = matrix.words[np.isin(ids[matrix.words], matched)]
     starts = starts[np.argsort(ids[starts], kind="stable")]  # by word, then start
     labels = matrix.raw[starts]
     if threshold > 0:
-        labels = _chain_labels(values, matrix.point_span, starts, ids[starts], labels, threshold)
+        labels = _chain_labels(values, matrix.symbol_length, matrix.point_span, starts, ids[starts], labels, threshold)
     order = np.lexsort((starts, labels))
     labels, starts = labels[order], starts[order]
     bounds = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
     return sorted(starts[bounds[k] : bounds[k + 1]].tolist() for k in np.flatnonzero(np.diff(bounds) >= 2))
 
 
-# pairs per distance block, in window elements: bounds the gathered windows
-# at a few hundred KB whatever the number and size of the trackers
-_PAIR_BLOCK = 1 << 15
+# pairs per block, in window elements: bounds each gather of windows at
+# 128 KB whatever the number and size of the trackers
+_PAIR_BLOCK = 1 << 14
 
 
 def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
@@ -191,13 +194,7 @@ def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float)
 
     The distance is euclidean_distance's formula computed in place, (x - y)
     squared and summed per row, so each decision matches that function's.
-    Pairs run in blocks of _PAIR_BLOCK window elements, bounding memory.
     """
-    block = max(1, _PAIR_BLOCK // windows.shape[1])
-    if a.size > block:
-        return np.concatenate(
-            [_within(windows, a[lo : lo + block], b[lo : lo + block], threshold) for lo in range(0, a.size, block)]
-        )
     diff = windows[a]
     diff -= windows[b]
     diff *= diff
@@ -205,51 +202,124 @@ def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float)
 
 
 def _chain_labels(
-    values: np.ndarray, span: int, starts: np.ndarray, words: np.ndarray, raw: np.ndarray, threshold: float
+    values: np.ndarray,
+    s: int,
+    span: int,
+    starts: np.ndarray,
+    words: np.ndarray,
+    raw: np.ndarray,
+    threshold: float,
 ) -> np.ndarray:
-    """Single-linkage group labels of every tracker's starts, in shared rounds.
+    """Single-linkage group labels of every tracker's starts, in one pass.
 
-    starts holds the trackers' starts side by side, each tracker a segment
-    of equal word ids in words (ascending), its starts ascending.  The
-    labels begin as their raw ids (each raw class lies within one
-    tracker).  Round t takes row t of every live tracker at once: the row's
-    distances, by euclidean_distance's formula, to the later starts of its
-    own tracker whose label differs from its own, so every d <= r decision
-    is the one a pairwise loop makes.  The groups of the starts within the
-    threshold join the row's group.  Pairs already in one group, identical
-    windows among them, are skipped, since they cannot change the groups.  A
-    tracker whose row finds no such pair leaves the rounds: all its later
-    starts then share the row's group, so no later row of it can find one
-    either.  Returns one label per start; equal labels mean one group.
+    starts holds the trackers' starts, each tracker a segment of equal word
+    ids in words; raw holds their raw-window ids, each raw class within one
+    tracker.  Equal raw windows are bit-equal in values (z-normalizing is
+    elementwise), so one representative start per class stands for all its
+    members: their distances to any window are its distances, bit for bit.
+
+    The representatives' pairs within one tracker are visited once, in
+    blocks of _PAIR_BLOCK // span pairs, and two lower bounds on their
+    distance prune them before it is computed (Keogh et al. 2001):
+    sqrt(span) times the difference of the whole-window means, a band over
+    each tracker's representatives sorted by mean, so pairs outside it are
+    never generated; then sqrt(s) times the norm of the differences of the
+    means of the g s-point blocks (PAA, from which SAX's MINDIST derives).
+    Pruning waits until a bound exceeds r by a margin that covers its own
+    and the distance's rounding, so the surviving pairs go to _within and
+    every d <= r decision is still euclidean_distance's.  Pairs within r
+    join components (_join); once some have, pairs already in one component
+    are skipped.  Returns one label per start; equal labels mean one group.
     """
-    # every start after the first of its tracker, and that tracker's first position
-    pos = np.flatnonzero(words[1:] == words[:-1]) + 1
-    base = np.searchsorted(words, words[pos])
-    label, size = raw, int(raw.max(initial=-1)) + 1
-    if pos.size:
-        # every window of the series as a row of one strided view, no copy
-        values = np.ascontiguousarray(values)
-        windows = np.ndarray((values.size - span + 1, span), values.dtype, values, 0, values.strides * 2)
-    t = 0
-    while pos.size:
-        row = base + t
-        open_ = label[pos] != label[row]
-        col, row = pos[open_], row[open_]
-        if not col.size:
-            break
-        near = _within(windows, starts[col], starts[row], threshold)
-        joined = label[col[near]]
-        if joined.size:
-            target = np.arange(size)
-            target[joined] = label[row[near]]
-            label = target[label]
-        # trackers, by first position, whose row found a pair to compute
-        live = np.zeros(label.size, dtype=bool)
-        live[row - t] = True
-        t += 1
-        keep = (pos > base + t) & live[base]
-        pos, base = pos[keep], base[keep]
-    return label
+    # one position per class, whichever member the scatter keeps; in
+    # position order, so the trackers stay ascending
+    at = np.arange(raw.size)
+    seen = np.empty(int(raw.max(initial=-1)) + 1, dtype=at.dtype)
+    seen[raw] = at
+    picked = np.flatnonzero(seen[raw] == at)
+    tracker = words[picked]
+    if not (tracker[1:] == tracker[:-1]).any():  # no tracker has two classes
+        return raw
+    inverse = np.searchsorted(picked, seen[raw])  # each start's class
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    step = values.strides[0]
+    count, generation = values.size - span + 1, span // s
+    # every span-point window, and the means of its g s-point blocks, as rows of strided views
+    windows = np.ndarray((count, span), values.dtype, values, 0, (step, step))
+    means = np.add.reduce(np.ndarray((values.size - s + 1, s), values.dtype, values, 0, (step, step)), axis=1) / s
+    paa = np.ndarray((count, generation), values.dtype, means, 0, (step, s * step))
+    # the margin: the means err by a few eps times the largest |value| per
+    # term summed, the sums of squares by eps per term, and the floor covers
+    # underflow; limit inflates r by all of it, with a factor of 2 to spare
+    eps = sys.float_info.epsilon
+    slack = 4 * (span + 3) * math.sqrt(span) * (eps * float(np.abs(values).max()) + math.sqrt(sys.float_info.min))
+    limit = (threshold + slack) * (1 + 4 * (span + 3) * eps)
+    # representatives by tracker, then whole-window mean (the mean of the block means)
+    rep = starts[picked]
+    mean = np.add.reduce(paa, axis=1)[rep] / generation
+    order = np.lexsort((mean, tracker))
+    rep, tracker, mean = rep[order], tracker[order], mean[order]
+    # row i pairs representative i with the later ones of its tracker whose
+    # mean lies within the band: one search on (tracker, rank of the mean)
+    ranked = np.sort(mean)
+    key = tracker * (rep.size + 1) + np.searchsorted(ranked, mean)
+    top = tracker * (rep.size + 1) + np.searchsorted(ranked, mean + limit / math.sqrt(span), side="right")
+    stop = np.searchsorted(key, top)  # one past row i's last partner
+    ends = np.cumsum(stop - np.arange(1, rep.size + 1))  # pairs in rows 0..i
+    shift = stop - ends  # pair p of row i pairs i with p + shift[i]
+    total, block, cap = int(ends[-1]), max(1, _PAIR_BLOCK // span), limit * limit / s
+    label, joined = np.arange(rep.size), False
+    held_i, held_j, held = [], [], 0
+    for lo in range(0, total, block):
+        pair = np.arange(lo, min(lo + block, total))
+        i = np.searchsorted(ends, pair, side="right")
+        j = pair + shift[i]
+        if joined:
+            open_ = label[i] != label[j]
+            i, j = i[open_], j[open_]
+        a, b = rep[i], rep[j]
+        if 1 < generation < span:  # at g = 1 the band is this bound, at s = 1 the distance
+            bound = paa[a]
+            bound -= paa[b]
+            bound *= bound
+            near = np.add.reduce(bound, axis=1) <= cap
+            i, j, a, b = i[near], j[near], a[near], b[near]
+        within = _within(windows, a, b, threshold)
+        held_i.append(i[within])
+        held_j.append(j[within])
+        held += held_i[-1].size
+        # join once a block's worth is held, bounding the held edges, and at the end
+        if held >= block or (held and lo + block >= total):
+            label = _join(label, np.concatenate(held_i), np.concatenate(held_j))
+            held_i, held_j, held, joined = [], [], 0, True
+    by_class = np.empty_like(label)
+    by_class[order] = label
+    return by_class[inverse]
+
+
+def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Labels after joining the components of each edge (a[n], b[n]).
+
+    label maps each node to its component's least node.  Each round hooks
+    the larger label of every edge across two components onto the smaller
+    one, then follows the hooks to their ends by pointer jumping; a round
+    merges at least one pair of components.
+    """
+    while True:
+        x, y = label[a], label[b]
+        cross = x != y
+        if not cross.any():
+            return label
+        x, y = x[cross], y[cross]
+        target = np.arange(label.size)
+        target[np.maximum(x, y)] = np.minimum(x, y)
+        # every hook points at a smaller label, so the jumps end at roots
+        while True:
+            hop = target[target]
+            if np.array_equal(hop, target):
+                break
+            target = hop
+        label = target[label]
 
 
 def eliminate_unconfirmed(matrix: CandidateMatrix, groups: list[list[int]]) -> np.ndarray:

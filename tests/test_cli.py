@@ -96,6 +96,13 @@ class TestDiscover:
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
 
+    def test_walk_fixture_report(self, runner):
+        # a 400-point walk holding three near-copies of one stretch, chained at r > 0
+        walk = DATA_DIR / "walk"
+        result = runner.invoke(main, ["discover", str(walk / "walk.txt"), "-s", "4", "-a", "6", "-r", "0.5"])
+        assert result.exit_code == 0
+        assert result.output == (walk / "expected_report.txt").read_text()
+
 
 class TestWithoutScipy:
     """The package runs on numpy and click alone."""

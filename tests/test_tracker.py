@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motiftrack.tracker as tracker_module
 from motiftrack import (
     ALPHABET,
+    CandidateMatrix,
     MemoryMotif,
     MotifSet,
     MtaConfig,
@@ -30,7 +32,7 @@ from motiftrack import (
 )
 from motiftrack.series import NormalizedSeries
 
-from conftest import candidates_at, hand_matrix, letters_of, motif_signature
+from conftest import candidates_at, hand_matrix, letters_of, motif_signature, window_ids
 
 TABLE_MOTIFS = [
     (280, (386, 717)),
@@ -312,6 +314,90 @@ class TestThresholdBoundary:
         assert confirm_motifs(cm, np.array([0]), vals, r) == [[a, b]]
         assert confirm_motifs(cm, np.array([0]), vals, float(np.nextafter(r, 0))) == []
 
+    # A window x and its copy shifted by c: every block mean differs by c, so
+    # the lower bounds equal the distance and only the rounding margin keeps
+    # the pair from being pruned at r = d.  A long lead of non-integer values
+    # gives the running sums of the series large rounding errors.
+
+    @staticmethod
+    def offset_pairs(span: int, seed: int, lead: int):
+        """Series each holding x at a and x + c at b, after lead points near 3, with a, b."""
+        rng = np.random.default_rng(seed)
+        head = 3.0 + rng.standard_normal(lead)
+        for c in 0.25 + rng.random(6):
+            x = rng.standard_normal(span)
+            vals = np.concatenate([head, x, rng.standard_normal(5), x + c, rng.standard_normal(3)])
+            yield vals, lead, lead + span + 5
+
+    def assert_boundary(self, cm, vals, a: int, b: int) -> None:
+        span = cm.point_span
+        r = euclidean_distance(vals[a : a + span], vals[b : b + span])
+        assert confirm_motifs(cm, np.array([0]), vals, r) == [[a, b]], r
+        assert confirm_motifs(cm, np.array([0]), vals, float(np.nextafter(r, 0))) == [], r
+
+    @pytest.mark.parametrize("lead", [0, 20_000])
+    @pytest.mark.parametrize("span", [1, 7, 8, 9, 127, 128, 129, 300])
+    def test_offset_pair_at_generation_one(self, span, lead):
+        for vals, a, b in self.offset_pairs(span, span, lead):
+            self.assert_boundary(hand_matrix(vals, span, [a, b]), vals, a, b)
+
+    @pytest.mark.parametrize("lead", [0, 20_000])
+    @pytest.mark.parametrize("s, generation", [(1, 2), (2, 3), (3, 4), (8, 16), (9, 14), (5, 60)])
+    def test_offset_pair_at_later_generations(self, s, generation, lead):
+        span = s * generation
+        for vals, a, b in self.offset_pairs(span, 100 * s + generation, lead):
+            n = vals.size - span + 1
+            # one word over the pair; the bound then sums g block terms
+            cm = CandidateMatrix(np.zeros(n, dtype=np.int64), window_ids(vals, span), np.array([a, b]), generation, s)
+            self.assert_boundary(cm, vals, a, b)
+
+
+class TestConfirmCost:
+    """Threshold confirmation measures raw classes, not starts.
+
+    Counting the rows _within computes, no generation exceeds the pairs of
+    raw classes within each matched word, sum k(k-1)/2, on shapes whose
+    words hold many starts of few classes.
+    """
+
+    M = 1500
+
+    def shapes(self):
+        rng = np.random.default_rng(7)
+        period = np.random.default_rng(0).standard_normal(37)
+        yield "constant", np.full(self.M, 5.0)
+        yield "period-37", np.tile(period, self.M // 37 + 1)[: self.M]
+        # a few 25-point shapes repeated in a random order, plus noisy copies
+        shapes = np.cumsum(rng.standard_normal((4, 25)), axis=1)
+        picks = rng.integers(0, 4, self.M // 25)
+        tiles = shapes[picks] + np.where(rng.random((picks.size, 1)) < 0.2, rng.normal(0, 0.05, (picks.size, 25)), 0)
+        yield "duplicates", tiles.ravel()
+
+    @pytest.mark.parametrize("tme", [False, True])
+    def test_distances_bounded_by_class_pairs(self, monkeypatch, tme):
+        rows = []
+        within, confirm = tracker_module._within, tracker_module.confirm_motifs
+
+        def counting_within(windows, a, b, threshold):
+            rows[-1][0] += a.size
+            return within(windows, a, b, threshold)
+
+        def counting_confirm(matrix, matched, values, threshold):
+            starts = matrix.words[np.isin(matrix.ids[matrix.words], matched)]
+            pairs = sorted(set(zip(matrix.ids[starts].tolist(), matrix.raw[starts].tolist())))
+            classes = np.bincount([word for word, _ in pairs]) if pairs else np.zeros(0, dtype=np.int64)
+            rows.append([0, int((classes * (classes - 1) // 2).sum())])
+            return confirm(matrix, matched, values, threshold)
+
+        monkeypatch.setattr(tracker_module, "_within", counting_within)
+        monkeypatch.setattr(tracker_module, "confirm_motifs", counting_confirm)
+        for name, values in self.shapes():
+            rows.clear()
+            run_mta(TimeSeries(values), MtaConfig(SaxConfig(10, 10), 0.5, tme))
+            assert rows, name
+            for generation, (computed, class_pairs) in enumerate(rows, 1):
+                assert computed <= class_pairs, (name, generation, computed, class_pairs)
+
 
 class TestMtaConfig:
     def test_nan_threshold_rejected(self):
@@ -592,6 +678,16 @@ class TestTimeBudget:
 
     def test_period_37_with_tme_threshold(self):
         out, seconds = self.timed(self.period_37(), True, 0.5)
+        assert seconds < 15
+        assert len(out) == 10
+
+    def test_walk_threshold(self):
+        out, seconds = self.timed(np.cumsum(np.random.default_rng(0).standard_normal(self.M)), False, 0.5)
+        assert seconds < 15
+        assert len(out) == 1783
+
+    def test_period_37_threshold(self):
+        out, seconds = self.timed(self.period_37(), False, 0.5)
         assert seconds < 15
         assert len(out) == 10
 
