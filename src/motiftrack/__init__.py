@@ -6,7 +6,8 @@ by one symbol per generation; these are the paper's trackers.  Candidate
 repeats are confirmed against the data: with r = 0 by equality of the raw
 values, the brute-force oracle's definition of an exact repeat, and with
 r > 0 by a Euclidean distance of at most r in z-normalized units.  The
-oracles and an strace ingestion pipeline round out the toolkit.
+oracles and an strace ingestion pipeline round out the toolkit.  The
+loop's stages and the confirmation step, groups, live in motiftrack.tracker.
 """
 
 from .ingest import (
@@ -43,18 +44,11 @@ from .series import (
     z_normalize,
 )
 from .tracker import (
-    CandidateMatrix,
     MemoryMotif,
     MotifSet,
     MtaConfig,
-    build_candidate_matrix,
-    confirm_motifs,
-    eliminate_unconfirmed,
-    eliminate_unmatched,
     encapsulates,
     format_motif_report,
-    match_trackers,
-    proliferate_and_mutate,
     quality_measure,
     run_mta,
     streamline,
@@ -65,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALPHABET",
     "Breakpoints",
-    "CandidateMatrix",
     "MemoryMotif",
     "MotifSet",
     "MtaConfig",
@@ -77,14 +70,10 @@ __all__ = [
     "TimeSeries",
     "brute_force_exact_motifs",
     "brute_force_threshold_pairs",
-    "build_candidate_matrix",
     "build_symbol_matrix",
     "concatenate_pid_traces",
-    "confirm_motifs",
     "default_syscall_map",
     "dump_series_text",
-    "eliminate_unconfirmed",
-    "eliminate_unmatched",
     "encapsulates",
     "encode_series",
     "euclidean_distance",
@@ -93,10 +82,8 @@ __all__ = [
     "load_series_file",
     "load_series_text",
     "load_syscall_map",
-    "match_trackers",
     "maximal_exact_repeats",
     "parse_strace_text",
-    "proliferate_and_mutate",
     "quality_measure",
     "reference_motifs",
     "run_mta",

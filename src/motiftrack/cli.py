@@ -131,12 +131,12 @@ def cmd_ingest(trace_prefix, map_path, table, tail, strict, output):
     click.echo(f"parsed={parsed} skipped={skipped} dropped={dropped} emitted={emitted}")
 
 
-def _sax_or_fail(symbol_length, alphabet, series) -> SaxConfig:
+def _sax_or_fail(symbol_length, alphabet, series=None) -> SaxConfig:
     try:
         config = SaxConfig(symbol_length, alphabet)
     except ValueError as exc:
         _fail(str(exc))
-    if len(series) < symbol_length:
+    if series is not None and len(series) < symbol_length:
         _fail("series shorter than symbol length")
     return config
 
@@ -319,6 +319,9 @@ def cmd_sweep(series_path, symbol_lengths, alphabets, threshold, tme_mode, min_l
     Wall times are informational only; every other column is deterministic.
     """
     series = _load_series(series_path)
+    for s in symbol_lengths:  # a cell fails only on the data, as with a series shorter than s
+        for a in alphabets:
+            _sax_or_fail(s, a)
     if math.isnan(threshold) or threshold < 0:
         _fail("threshold must be a non-negative number")
     if min_length < 0:

@@ -1,11 +1,13 @@
 """System-call trace ingestion: strace-style logs to an integer series.
 
 Traces captured with ``strace -ff -o prefix`` produce one file per PID with
-one call per line; a ``[pid N]`` prefix, as ``strace -f`` writes without
-``-ff``, is accepted and ignored.  Parsing keeps only the call name before
-the first '('; signal deliveries, resumption markers, exit notes and other
-noise are skipped but counted.  An unfinished/resumed pair counts once, at the
-unfinished line, which preserves ordering by call initiation time.
+one call per line.  The PID prefixes that ``strace -f`` writes without
+``-ff`` are accepted and ignored: ``[pid N]`` on its terminal output, and
+the PID and spaces before every line of a ``-o FILE`` capture.  Parsing
+keeps only the call name before the first '('; signal deliveries,
+resumption markers, exit notes and other noise are skipped but counted.  An
+unfinished/resumed pair counts once, at the unfinished line, which preserves
+ordering by call initiation time.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import numpy as np
 
 from .series import TimeSeries
 
-# `strace -f` without -ff prefixes each line of a child process with [pid N];
-# tried as the first alternative, it costs lines without it nothing measurable.
+# `strace -f` without -ff prefixes each line of a child process with [pid N],
+# or, writing to a file (-o), every line with the PID and spaces ("%-5d ").
 # Nothing before the final \( can match a '(', so a line's text before its
 # first '(' decides the match and the name (parse_strace_text relies on this).
-_CALL_LINE = re.compile(r"(?:\[pid\s+\d+\]\s*|\s*)([A-Za-z_][A-Za-z0-9_]*)\(")
+_CALL_LINE = re.compile(r"(?:\[pid\s+\d+\]\s*|[0-9]+\s+|\s*)([A-Za-z_][A-Za-z0-9_]*)\(")
 
 # bundled name-to-id tables, by the name `ingest --syscall-table` takes
 SYSCALL_TABLES = {

@@ -31,7 +31,11 @@ class TimeSeries:
 
 @dataclass(frozen=True, eq=False)
 class NormalizedSeries:
-    """A z-normalized series plus the statistics that produced it."""
+    """A z-normalized series plus the statistics that produced it.
+
+    std_used is 0 for a constant series, and also when a non-constant
+    spread is subnormal: [0, 5e-324] normalizes to [-1, 1] with std_used 0.
+    """
 
     values: np.ndarray
     mean_used: float
@@ -47,7 +51,8 @@ def z_normalize(series: TimeSeries) -> NormalizedSeries:
     Uses the population standard deviation (divide by m, not m-1).  A
     constant series maps to all zeros and reports std_used = 0 rather than
     erroring; a constant run is valid input and yields a single repeated
-    symbol downstream.
+    symbol downstream.  std_used is also 0 when a non-constant spread is
+    subnormal ([0, 5e-324] maps to [-1, 1]): the scaled-back std underflows.
 
     The statistics are computed on the series divided by 2**k, with
     2**k <= max |x| < 2**(k+1), and scaled back.  Division by a power of two

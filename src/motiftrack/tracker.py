@@ -162,26 +162,34 @@ def eliminate_unmatched(counts: np.ndarray) -> np.ndarray:
 def confirm_motifs(
     matrix: CandidateMatrix, matched: np.ndarray, values: np.ndarray, threshold: float
 ) -> list[list[int]]:
-    """Check each matched word's candidates against the underlying data.
-
-    A word's starts are grouped by raw-window id, the oracle's exact
-    repeat.  A positive threshold is the one difference between the modes:
-    _chain_labels then joins those classes single-linkage, windows of
-    values chained by Euclidean distances within it, for all words in one
-    pass over one representative window per class (equal raw windows are at
-    distance 0).  Returns every group of two or more starts, ascending,
-    ordered by first start; one word can have several.
-    """
+    """Confirm the matched words' candidate starts against the data: groups over them."""
     ids = matrix.ids
     starts = matrix.words[np.isin(ids[matrix.words], matched)]
-    starts = starts[np.argsort(ids[starts], kind="stable")]  # by word, then start
-    labels = matrix.raw[starts]
-    if threshold > 0:
-        labels = _chain_labels(values, matrix.symbol_length, matrix.point_span, starts, ids[starts], labels, threshold)
+    return groups(values, matrix.symbol_length, matrix.point_span, starts, ids[starts], matrix.raw[starts], threshold)
+
+
+def groups(
+    values: np.ndarray, s: int, span: int, starts: np.ndarray, words: np.ndarray, raw: np.ndarray, threshold: float
+) -> list[list[int]]:
+    """The confirmed groups among candidate starts, each a tracker's stimulation.
+
+    words and raw hold each start's word id and raw-window id, in any
+    order; span is a multiple of s.  Starts are grouped by raw-window id,
+    the oracle's exact repeat.  A positive threshold is the one difference
+    between the modes: _chain_labels then joins the classes of one word
+    single-linkage, span-point windows of values chained by Euclidean
+    distances within it.  Returns every group of two or more starts,
+    ascending, ordered by first start; one word can have several.
+    """
+    labels = raw if threshold <= 0 else _chain_labels(values, s, span, starts, words, raw, threshold)
     order = np.lexsort((starts, labels))
     labels, starts = labels[order], starts[order]
     bounds = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
-    return sorted(starts[bounds[k] : bounds[k + 1]].tolist() for k in np.flatnonzero(np.diff(bounds) >= 2))
+    kept = np.flatnonzero(np.diff(bounds) >= 2)
+    lo, hi = bounds[kept], bounds[kept + 1]
+    by_first = np.argsort(starts[lo])
+    flat = starts.tolist()
+    return [flat[a:b] for a, b in zip(lo[by_first].tolist(), hi[by_first].tolist())]
 
 
 # pairs per block, in window elements: bounds each gather of windows at
@@ -202,21 +210,15 @@ def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float)
 
 
 def _chain_labels(
-    values: np.ndarray,
-    s: int,
-    span: int,
-    starts: np.ndarray,
-    words: np.ndarray,
-    raw: np.ndarray,
-    threshold: float,
+    values: np.ndarray, s: int, span: int, starts: np.ndarray, words: np.ndarray, raw: np.ndarray, threshold: float
 ) -> np.ndarray:
     """Single-linkage group labels of every tracker's starts, in one pass.
 
-    starts holds the trackers' starts, each tracker a segment of equal word
-    ids in words; raw holds their raw-window ids, each raw class within one
-    tracker.  Equal raw windows are bit-equal in values (z-normalizing is
-    elementwise), so one representative start per class stands for all its
-    members: their distances to any window are its distances, bit for bit.
+    words holds each start's tracker (word id) and raw its raw-window id,
+    in any order, each raw class within one tracker.  Equal raw windows are
+    bit-equal in values (z-normalizing is elementwise), so one
+    representative start per class stands for all its members: their
+    distances to any window are its distances, bit for bit.
 
     The representatives' pairs within one tracker are visited once, in
     blocks of _PAIR_BLOCK // span pairs, and two lower bounds on their
@@ -231,14 +233,14 @@ def _chain_labels(
     join components (_join); once some have, pairs already in one component
     are skipped.  Returns one label per start; equal labels mean one group.
     """
-    # one position per class, whichever member the scatter keeps; in
-    # position order, so the trackers stay ascending
+    # one position per class, whichever member the scatter keeps
     at = np.arange(raw.size)
     seen = np.empty(int(raw.max(initial=-1)) + 1, dtype=at.dtype)
     seen[raw] = at
     picked = np.flatnonzero(seen[raw] == at)
     tracker = words[picked]
-    if not (tracker[1:] == tracker[:-1]).any():  # no tracker has two classes
+    by_word = np.sort(tracker)
+    if not (by_word[1:] == by_word[:-1]).any():  # no tracker has two classes
         return raw
     inverse = np.searchsorted(picked, seen[raw])  # each start's class
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -322,10 +324,10 @@ def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         label = target[label]
 
 
-def eliminate_unconfirmed(matrix: CandidateMatrix, groups: list[list[int]]) -> np.ndarray:
+def eliminate_unconfirmed(matrix: CandidateMatrix, found: list[list[int]]) -> np.ndarray:
     """Keep only trackers stimulated during confirmation: a mask of the word ids with a group."""
     confirmed = np.zeros(int(matrix.ids.max(initial=-1)) + 1, dtype=bool)
-    confirmed[matrix.ids[[group[0] for group in groups]]] = True
+    confirmed[matrix.ids[[group[0] for group in found]]] = True
     return confirmed
 
 
@@ -430,12 +432,12 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
         matched = eliminate_unmatched(match_trackers(candidates, trackers))
         if not matched.size:
             break
-        groups = confirm_motifs(candidates, matched, norm.values, config.match_threshold)
-        confirmed = eliminate_unconfirmed(candidates, groups)
-        pool += [MemoryMotif(matrix.symbols[g[0] : g[0] + span : s], span, tuple(g)) for g in groups]
+        found = confirm_motifs(candidates, matched, norm.values, config.match_threshold)
+        confirmed = eliminate_unconfirmed(candidates, found)
+        pool += [MemoryMotif(matrix.symbols[g[0] : g[0] + span : s], span, tuple(g)) for g in found]
         if template is None:
             template = confirmed[letters]
-        if not groups:
+        if not found:
             break
         trackers = proliferate_and_mutate(candidates, confirmed, template)
         span += s

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motiftrack import CandidateMatrix, TimeSeries, build_candidate_matrix
+from motiftrack import TimeSeries
+from motiftrack.tracker import CandidateMatrix, build_candidate_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
 

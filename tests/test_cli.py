@@ -4,8 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motiftrack.cli import main, sweep_rows
 from motiftrack.series import load_series_file
@@ -221,6 +224,17 @@ class TestIngest:
         assert result.exit_code == 2
         assert "line 2: id for 'write' is too large" in result.stderr
 
+    def test_file_output_capture(self, runner, tmp_path):
+        # a `strace -f -o out` capture, renamed out.1: its PID-prefixed lines are calls
+        shutil.copy(DATA_DIR / "strace_f" / "out.1", tmp_path / "out.1")
+        out = tmp_path / "series.txt"
+        result = runner.invoke(
+            main, ["ingest", str(tmp_path / "out"), "--syscall-table", "linux-x86_64", "-o", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == "parsed=19 skipped=5 dropped=0 emitted=14\n"
+        assert out.read_text().split() == "59 12 257 3 22 56 3 61 33 59 1 231 0 231".split()
+
     def test_prefix_with_glob_metacharacters(self, runner, tmp_path):
         directory = tmp_path / "run[1]"
         directory.mkdir()
@@ -345,3 +359,110 @@ class TestSweep:
             ]
 
         assert stable(serial) == stable(parallel)
+
+
+# a value outside each option's range, per command: parsed by click but out
+# of range, or not a number of the option's type at all
+POSITIVE = st.one_of(st.integers(max_value=0).map(str), st.sampled_from(["nan", "-nan", "1.5", "x", ""]))
+NON_NEGATIVE = st.one_of(st.integers(max_value=-1).map(str), st.sampled_from(["nan", "-inf", "-0.5", "x"]))
+ALPHABET_SIZE = st.one_of(st.integers(max_value=1), st.integers(min_value=27)).map(str) | st.just("nan")
+THRESHOLD = st.one_of(
+    st.floats(max_value=-1e-300, allow_nan=False).map(repr), st.sampled_from(["nan", "-nan", "NaN", "x"])
+)
+# the valid series' length: discover and oracle reject any -s beyond it
+SERIES_POINTS = 150
+BAD_OPTIONS = {
+    "ingest": {"--tail": POSITIVE},
+    "discover": {
+        "-s": POSITIVE | st.integers(min_value=SERIES_POINTS + 1).map(str),
+        "-a": ALPHABET_SIZE,
+        "-r": THRESHOLD,
+        "--min-length": NON_NEGATIVE,
+    },
+    "oracle": {
+        "-s": POSITIVE | st.integers(min_value=SERIES_POINTS + 1).map(str),
+        "-a": ALPHABET_SIZE,
+        "--min-separation": POSITIVE,
+        "--min-length": NON_NEGATIVE,
+    },
+    "sweep": {
+        "-s": POSITIVE,
+        "-a": ALPHABET_SIZE,
+        "-r": THRESHOLD,
+        "--min-length": NON_NEGATIVE,
+        "--jobs": POSITIVE,
+    },
+}
+BAD_SERIES = {"missing": None, "directory": None, "empty": "", "comments": "# a\n\n  # b\n",
+              "nan": "1\n2\nnan\n", "inf": "1\n-inf\n", "overflow": "1e999\n"}
+
+
+@pytest.fixture(scope="module")
+def error_inputs(tmp_path_factory):
+    """A valid series and trace, and the bad files and paths the error paths read."""
+    root = tmp_path_factory.mktemp("errors")
+    values = np.random.default_rng(3).integers(0, 5, SERIES_POINTS)
+    values[100:130] = values[10:40]
+    (root / "series.txt").write_text("".join(f"{v}\n" for v in values.tolist()))
+    for name, text in BAD_SERIES.items():
+        if text is not None:
+            (root / f"{name}.txt").write_text(text)
+    (root / "directory.txt").mkdir()
+    (root / "trace.7").write_text('read(3, "x", 1) = 1\nwrite(1, "x", 1) = 1\n')
+    (root / "empty.7").write_text("")
+    (root / "comments.7").write_text("--- SIGCHLD ---\n+++ exited with 0 +++\n")
+    (root / "directory.7").mkdir()
+    (root / "out").mkdir()
+    return root
+
+
+@st.composite
+def bad_invocations(draw, root):
+    """One command with valid arguments and one defect: an option out of range or a bad input."""
+    command = draw(st.sampled_from(sorted(BAD_OPTIONS)))
+    if command == "ingest":
+        prefix, output, extra = str(root / "trace"), str(root / "ingested.txt"), []
+        defect = draw(st.sampled_from(["option", "prefix", "output", "map"]))
+        if defect == "prefix":
+            prefix = str(root / draw(st.sampled_from(["missing", "empty", "comments", "directory", "."])))
+        elif defect == "output":
+            output = str(root / "out")
+        elif defect == "map":
+            extra = ["--syscall-map", str(root / draw(st.sampled_from(["missing.map", "out", "series.txt"])))]
+        argv = ["ingest", prefix, "-o", output, *extra]
+    else:
+        series = str(root / "series.txt")
+        defect = draw(st.sampled_from(["option", "series", "output"]))
+        if defect == "series":
+            series = str(root / f"{draw(st.sampled_from(sorted(BAD_SERIES)))}.txt")
+        argv = [command, series, "-s", "4", "-a", "4"]
+        argv += ["--tme-mode", "off"] if command == "sweep" else []
+        argv += ["-o", str(root / "out")] if defect == "output" else []
+    if defect == "option":
+        option = draw(st.sampled_from(sorted(BAD_OPTIONS[command])))
+        argv += [option, draw(BAD_OPTIONS[command][option])]
+    return argv
+
+
+class TestErrorPaths:
+    """Every bad argument or input ends a command with exit code 2 and a message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_2_with_message(self, error_inputs, data):
+        argv = data.draw(bad_invocations(error_inputs))
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 2, (argv, result.output, result.exception)
+        assert result.stderr.strip(), argv
+        assert isinstance(result.exception, SystemExit), argv
+        assert "Traceback" not in result.output, argv
+
+    @pytest.mark.parametrize("command", ["discover", "oracle", "sweep"])
+    def test_valid_arguments_succeed(self, runner, error_inputs, command):
+        argv = [command, str(error_inputs / "series.txt"), "-s", "4", "-a", "4"]
+        result = runner.invoke(main, argv + (["--tme-mode", "off"] if command == "sweep" else []))
+        assert result.exit_code == 0, result.output
+
+    def test_valid_trace_succeeds(self, runner, error_inputs):
+        result = runner.invoke(main, ["ingest", str(error_inputs / "trace"), "-o", str(error_inputs / "ok.txt")])
+        assert result.output == "parsed=2 skipped=0 dropped=0 emitted=2\n"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from motiftrack import (
     parse_strace_text,
 )
 from motiftrack.ingest import (
-    _CALL_LINE,
     bundled_syscall_map,
     load_syscall_map_text,
     parse_strace_file,
@@ -24,14 +25,23 @@ from conftest import DATA_DIR
 STRACE_DIR = DATA_DIR / "strace"
 
 
+# the line prefixes a call may follow: [pid N] (strace -f to a terminal), a
+# PID and whitespace (strace -f -o FILE), or whitespace alone
+REFERENCE_PREFIXES = [re.compile(r"\[pid\s+\d+\]\s*"), re.compile(r"[0-9]+\s+"), re.compile(r"\s*")]
+REFERENCE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\(")
+
+
 def reference_parse(text):
-    """The per-line loop parse_strace_text replaced: one pattern match per line."""
+    """parse_strace_text as a per-line loop: a call is a name and '(' after one of the prefixes."""
     lines = text.splitlines()
     calls = []
     for line in lines:
-        match = _CALL_LINE.match(line)
-        if match:
-            calls.append(match.group(1))
+        for prefix in REFERENCE_PREFIXES:
+            head = prefix.match(line)
+            name = head and REFERENCE_NAME.match(line, head.end())
+            if name:
+                calls.append(name.group()[:-1])
+                break
     return calls, len(lines), len(lines) - len(calls)
 
 
@@ -54,11 +64,13 @@ def reference_encode(calls, syscall_map, strict=False):
 # every boundary str.splitlines() breaks at; '^' under re.M knows only '\n'
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                "\u2028", "\u2029"]
-# pieces of strace-like lines: names, [pid N] prefixes, '(' in heads and
-# arguments, ASCII and Unicode whitespace (\xa0, \x1f, \u3000) and noise
+# pieces of strace-like lines: names, [pid N] and PID prefixes, '(' in heads
+# and arguments, ASCII and Unicode whitespace (\xa0, \x1f, \u3000), a
+# non-ASCII digit (\u0663) and noise
 LINE_PIECES = [
     "read", "write", "_llseek", "open", "x9", "9x", "é", "rt_sigaction",
     "[pid 12]", "[pid  4242] ", "[pid\t7]", "[pid]", "[pid x]", "[", "]",
+    "4242 ", "31020", "7\t", "\u0663 ",
     "(", ")", "((", '"a(b"', "<... read resumed>", "<unfinished ...>",
     "--- SIGCHLD {si_pid=3} ---", "+++ exited with 0 +++", "# c",
     " ", "  ", "\t", "\xa0", "\x1f", "\u3000", "=", " = 0", "3", ", ",
@@ -111,6 +123,27 @@ class TestParse:
         calls, total, skipped = parse_strace_text(text)
         assert calls == ["read", "write", "open"]
         assert (total, skipped) == (3, 0)
+
+    def test_file_output_pid_prefix_counts_as_call(self):
+        # `strace -f -o FILE` puts the PID and spaces before every line
+        text = '12345 read(3, "x", 1) = 1\n[pid  4243] write(1, "y", 1) = 1\n3101  open("/a", 0) = 3\n'
+        calls, total, skipped = parse_strace_text(text)
+        assert calls == ["read", "write", "open"]
+        assert (total, skipped) == (3, 0)
+
+    @pytest.mark.parametrize("line", ["12read(1) = 1", "\u0663 read(1) = 1", "12 (1) = 1", "12 9x(1) = 1", " 12 read(1)"])
+    def test_pid_prefix_needs_ascii_digits_then_whitespace(self, line):
+        assert parse_strace_text(line) == ([], 1, 1)
+
+    def test_file_output_capture(self):
+        # a hand-written `strace -f -o out` capture of `sh -c "ls | wc -l"`,
+        # renamed out.1: both processes' calls, in the order strace wrote them
+        trace, total, skipped = parse_strace_file(DATA_DIR / "strace_f" / "out.1")
+        assert trace.calls == (
+            "execve", "brk", "openat", "close", "pipe", "clone", "close", "wait4",
+            "dup2", "execve", "write", "exit_group", "read", "exit_group",
+        )
+        assert (total, skipped) == (19, 5)
 
     def test_pid_prefixed_resumed_marker_skipped(self):
         text = (
@@ -176,18 +209,23 @@ class TestParseReference:
         assert calls[0] is calls[1]
 
     @pytest.mark.parametrize("text, calls", [
-        ("12 x(1)\n12 x(2)\nx(3)\n", ["x"]),
+        # a PID and whitespace before the name, as `strace -f -o FILE` writes
+        ("12 x(1)\n12 x(2)\nx(3)\n", ["x", "x", "x"]),
         # heads that differ only in surrounding whitespace decide differently
         ("read (3)\nread(4)\n read(5)\nread\xa0(6)\n", ["read", "read"]),
         ("\tread(1)\nread \t(2)\nread(3)\n", ["read", "read"]),
+        # digits not followed by whitespace are no PID prefix
+        ("12x x(1)\n12x x(2)\nx(3)\n", ["x"]),
     ])
     def test_heads_cached_exactly(self, text, calls):
         assert parse_strace_text(text)[0] == calls
         assert parse_strace_text(text) == reference_parse(text)
 
     def test_golden_traces(self):
-        for name in ("trace.2001", "trace.2002", "trace.2005"):
-            text = (STRACE_DIR / name).read_text(encoding="utf-8")
+        for path in [STRACE_DIR / name for name in ("trace.2001", "trace.2002", "trace.2005")] + [
+            DATA_DIR / "strace_f" / "out.1"
+        ]:
+            text = path.read_text(encoding="utf-8")
             assert parse_strace_text(text) == reference_parse(text)
 
 

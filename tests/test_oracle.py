@@ -13,14 +13,14 @@ from motiftrack import (
     brute_force_exact_motifs,
     brute_force_threshold_pairs,
     build_symbol_matrix,
-    confirm_motifs,
     maximal_exact_repeats,
     reference_motifs,
     run_mta,
     z_normalize,
 )
+from motiftrack.tracker import confirm_motifs, groups
 
-from conftest import candidates_at, corpus_instances, hand_matrix, motif_signature
+from conftest import candidates_at, corpus_instances, hand_matrix, motif_signature, window_ids
 
 
 class TestExactMotifs:
@@ -270,6 +270,48 @@ class TestThresholdGroupsReference:
         candidates = hand_matrix(norm.values, 2, [0, 10, 20])
         assert confirm_motifs(candidates, np.array([0]), norm.values, r) == [[0, 10, 20]]
         assert pair_graph_components(pairs, [0, 10, 20]) == [(0, 10, 20)]
+
+
+class TestGroups:
+    """groups on plain arrays: candidate starts of a few words, given in a
+    shuffled order, so neither the starts nor the words are sorted."""
+
+    @staticmethod
+    def instances(count: int):
+        """(series, s, span, starts, words, raw) of threshold_instances' series.
+
+        Each raw class gets one word from a few ids, as equal raw windows
+        have equal symbols, so the words of different classes interleave.
+        """
+        for index, s, _, series in threshold_instances(count):
+            rng = random.Random(index)
+            span = s * rng.randint(1, 3)
+            if span > len(series):
+                continue
+            raw = window_ids(series.values, span)
+            word_of = [rng.choice((7, 3, 11)) for _ in range(int(raw.max()) + 1)]
+            starts = rng.sample(range(raw.size), rng.randint(0, raw.size))
+            words = [word_of[raw[x]] for x in starts]
+            yield index, series, s, span, np.array(starts, dtype=np.intp), np.array(words), raw[starts]
+
+    def test_exact_groups_are_raw_classes(self):
+        for index, series, s, span, starts, words, raw in self.instances(150):
+            classes = {}
+            for x in sorted(starts.tolist()):
+                classes.setdefault(series.values[x : x + span].tobytes(), []).append(x)
+            expected = sorted(group for group in classes.values() if len(group) >= 2)
+            norm = z_normalize(series).values
+            assert groups(norm, s, span, starts, words, raw, 0.0) == expected, index
+
+    def test_threshold_groups_are_pair_graph_components(self):
+        for index, series, s, span, starts, words, raw in self.instances(150):
+            r = (0.1, 0.5, 1.0, 2.0)[index % 4]
+            pairs = brute_force_threshold_pairs(series, span, r)
+            expected = []
+            for word in set(words.tolist()):
+                expected += pair_graph_components(pairs, starts[words == word].tolist())
+            found = groups(z_normalize(series).values, s, span, starts, words, raw, r)
+            assert [tuple(group) for group in found] == sorted(expected), (index, r)
 
 
 def few_valued_instances(count: int, seed: int = 20261020):

@@ -110,6 +110,12 @@ class TestZNormalize:
             out = z_normalize(TimeSeries(np.array([0.0, 5e-324, 0.0, 5e-324])))
         assert list(out.values) == [-1.0, 1.0, -1.0, 1.0]
 
+    def test_subnormal_spread_reports_zero_std(self):
+        # documented: the scaled-back std underflows, the values do not
+        out = z_normalize(TimeSeries(np.array([0.0, 5e-324])))
+        assert list(out.values) == [-1.0, 1.0]
+        assert out.std_used == 0.0
+
     def test_tiny_spread_keeps_precision(self):
         # the squares of a 1e-160 spread are subnormal if taken unscaled
         out = z_normalize(TimeSeries(np.array([0.0, 1e-160, 0.0, 1e-160])))

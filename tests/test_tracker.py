@@ -10,27 +10,29 @@ from hypothesis import strategies as st
 import motiftrack.tracker as tracker_module
 from motiftrack import (
     ALPHABET,
-    CandidateMatrix,
     MemoryMotif,
     MotifSet,
     MtaConfig,
     SaxConfig,
     TimeSeries,
     build_symbol_matrix,
-    confirm_motifs,
     encapsulates,
     euclidean_distance,
-    eliminate_unconfirmed,
-    eliminate_unmatched,
     format_motif_report,
-    match_trackers,
-    proliferate_and_mutate,
     quality_measure,
     run_mta,
     streamline,
     z_normalize,
 )
 from motiftrack.series import NormalizedSeries
+from motiftrack.tracker import (
+    CandidateMatrix,
+    confirm_motifs,
+    eliminate_unconfirmed,
+    eliminate_unmatched,
+    match_trackers,
+    proliferate_and_mutate,
+)
 
 from conftest import candidates_at, hand_matrix, letters_of, motif_signature, window_ids
 
@@ -652,9 +654,9 @@ class TestTimeBudget:
 
     M = 8040
 
-    def timed(self, values, tme, r=0.0):
+    def timed(self, values, tme, r=0.0, s=10, a=10):
         begin = time.perf_counter()
-        out = run_mta(TimeSeries(values), MtaConfig(SaxConfig(10, 10), r, tme))
+        out = run_mta(TimeSeries(values), MtaConfig(SaxConfig(s, a), r, tme))
         return out, time.perf_counter() - begin
 
     def period_37(self):
@@ -688,6 +690,27 @@ class TestTimeBudget:
 
     def test_period_37_threshold(self):
         out, seconds = self.timed(self.period_37(), False, 0.5)
+        assert seconds < 15
+        assert len(out) == 10
+
+
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_single_spike(self, r):
+        values = np.zeros(self.M)
+        values[self.M // 2] = 1.0
+        out, seconds = self.timed(values, False, r)
+        assert seconds < 15
+        assert [(mo.point_length, len(mo.occurrences)) for mo in out] == [(4010, 21)]
+
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_symbol_length_just_below_m(self, r):
+        out, seconds = self.timed(np.full(self.M, 5.0), False, r, s=self.M - 5)
+        assert seconds < 15
+        assert motif_signature(out) == [(self.M - 5, tuple(range(6)))]
+
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_period_37_alphabet_26(self, r):
+        out, seconds = self.timed(self.period_37(), False, r, a=26)
         assert seconds < 15
         assert len(out) == 10
 
