@@ -13,7 +13,10 @@ oracle's exact repeats and at r = 0 the groups; at r > 0 single-linkage chains
 the classes whose windows lie within r (Euclidean distance, z-normalized
 units), in one pass over one representative window per class, pairs whose
 mean or PAA lower bound exceeds r pruned before their distance is computed.
-Confirmed repeats accumulate in a memory pool, each with its symbol text cut
+A generation's groups are one array of starts plus group bounds.  Each is
+stored in the memory pool once the next generation is confirmed, unless a
+longer group encapsulates it: covered groups, which streamlining would drop,
+never enter the pool.  Only the stored groups get tuples and symbol text cut
 from the symbol matrix, and the pool is finally streamlined into a canonical
 motif set.
 
@@ -160,17 +163,21 @@ def eliminate_unmatched(counts: np.ndarray) -> np.ndarray:
 
 
 def confirm_motifs(
-    matrix: CandidateMatrix, matched: np.ndarray, values: np.ndarray, threshold: float
-) -> list[list[int]]:
-    """Confirm the matched words' candidate starts against the data: groups over them."""
+    matrix: CandidateMatrix, counts: np.ndarray, values: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Confirm the matched words' candidate starts against the data: groups over them.
+
+    counts is match_trackers' count per word id; the words counted twice or
+    more are the matched ones.
+    """
     ids = matrix.ids
-    starts = matrix.words[np.isin(ids[matrix.words], matched)]
+    starts = matrix.words[counts[ids[matrix.words]] >= 2]
     return groups(values, matrix.symbol_length, matrix.point_span, starts, ids[starts], matrix.raw[starts], threshold)
 
 
 def groups(
     values: np.ndarray, s: int, span: int, starts: np.ndarray, words: np.ndarray, raw: np.ndarray, threshold: float
-) -> list[list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The confirmed groups among candidate starts, each a tracker's stimulation.
 
     words and raw hold each start's word id and raw-window id, in any
@@ -178,18 +185,21 @@ def groups(
     the oracle's exact repeat.  A positive threshold is the one difference
     between the modes: _chain_labels then joins the classes of one word
     single-linkage, span-point windows of values chained by Euclidean
-    distances within it.  Returns every group of two or more starts,
-    ascending, ordered by first start; one word can have several.
+    distances within it.  Returns (members, bounds): group k is
+    members[bounds[k]:bounds[k + 1]], ascending, one per group of two or
+    more starts, the groups ordered by first start; one word can have
+    several.
     """
     labels = raw if threshold <= 0 else _chain_labels(values, s, span, starts, words, raw, threshold)
     order = np.lexsort((starts, labels))
     labels, starts = labels[order], starts[order]
-    bounds = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
-    kept = np.flatnonzero(np.diff(bounds) >= 2)
-    lo, hi = bounds[kept], bounds[kept + 1]
-    by_first = np.argsort(starts[lo])
-    flat = starts.tolist()
-    return [flat[a:b] for a, b in zip(lo[by_first].tolist(), hi[by_first].tolist())]
+    edges = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
+    kept = np.flatnonzero(np.diff(edges) >= 2)
+    kept = kept[np.argsort(starts[edges[kept]])]
+    lo, sizes = edges[kept], edges[kept + 1] - edges[kept]
+    bounds = np.zeros(kept.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=bounds[1:])
+    return starts[np.repeat(lo - bounds[:-1], sizes) + np.arange(bounds[-1])], bounds
 
 
 # pairs per block, in window elements: bounds each gather of windows at
@@ -324,10 +334,11 @@ def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         label = target[label]
 
 
-def eliminate_unconfirmed(matrix: CandidateMatrix, found: list[list[int]]) -> np.ndarray:
+def eliminate_unconfirmed(matrix: CandidateMatrix, found: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Keep only trackers stimulated during confirmation: a mask of the word ids with a group."""
+    members, bounds = found
     confirmed = np.zeros(int(matrix.ids.max(initial=-1)) + 1, dtype=bool)
-    confirmed[matrix.ids[[group[0] for group in found]]] = True
+    confirmed[matrix.ids[members[bounds[:-1]]]] = True
     return confirmed
 
 
@@ -340,6 +351,44 @@ def proliferate_and_mutate(matrix: CandidateMatrix, confirmed: np.ndarray, templ
     """
     n, at = max(matrix.ids.size - matrix.symbol_length, 0), matrix.point_span
     return confirmed[matrix.ids[:n]] & template[at : at + n]
+
+
+def _encapsulated(
+    members: np.ndarray, bounds: np.ndarray, longer: np.ndarray, longer_bounds: np.ndarray, s: int
+) -> np.ndarray:
+    """Which groups the next generation's groups encapsulate: a mask over the groups.
+
+    Both generations are given as groups returns them.  A group G of span
+    points is tested against the group G' of span + s points that holds its
+    first member: G' encapsulates G when every member o of G has a member b
+    of G' with o - s <= b <= o, as [b, b + span + s) then holds [o, o + span).
+    One search over the keys (group, start) of the longer members, which
+    ascend, finds the latest b <= o in G' for every o at once: G' holds the
+    first member, so the search never lands before G'.
+    """
+    if not longer.size:
+        return np.zeros(bounds.size - 1, dtype=bool)
+    base = int(max(members.max(initial=0), longer.max())) + 1  # above every start
+    which = np.repeat(np.arange(longer_bounds.size - 1), np.diff(longer_bounds))
+    label = np.full(base, -1)
+    label[longer] = which
+    host = np.repeat(label[members[bounds[:-1]]], np.diff(bounds))  # each member's G', or -1
+    keys = which * base + longer
+    at = np.searchsorted(keys, host * base + members, side="right") - 1
+    ok = (host >= 0) & (keys[at] >= host * base + members - s)
+    return np.logical_and.reduceat(ok, bounds[:-1])
+
+
+def _memory(symbols: str, span: int, s: int, members: np.ndarray, bounds: np.ndarray, keep=None) -> list[MemoryMotif]:
+    """The memory motifs of the groups, or of those keep marks, each with its symbol text cut from symbols."""
+    sizes = np.diff(bounds)
+    if keep is not None:
+        members, sizes = members[np.repeat(keep, sizes)], sizes[keep]
+    flat, ends = members.tolist(), np.cumsum(sizes).tolist()
+    return [
+        MemoryMotif(symbols[flat[lo] : flat[lo] + span : s], span, tuple(flat[lo:hi]))
+        for lo, hi in zip([0] + ends[:-1], ends)
+    ]
 
 
 def _covers(starts: list[int], length: int, occurrences, point_length: int) -> bool:
@@ -414,6 +463,11 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     extend until no tracker is confirmed or no word is constructible, and
     finally streamline the pool.  The mutation template is frozen after
     generation 1.
+
+    A generation's groups are stored once the next generation is confirmed,
+    except those a next-generation group encapsulates (_encapsulated):
+    streamline would drop them, so covered groups never enter the pool.
+    The last generation's groups are stored whole.
     """
     s = config.sax.symbol_length
     m = len(series)
@@ -426,21 +480,24 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     trackers = np.ones(letters.size, dtype=bool)
     candidates = template = None
     pool: list[MemoryMotif] = []
-    span = s
+    held = (np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp))  # the groups not yet stored, of held_span points
+    span = held_span = s
     while span <= m:
         candidates = build_candidate_matrix(letters, blocks, candidates, s, config.tme_enabled)
-        matched = eliminate_unmatched(match_trackers(candidates, trackers))
-        if not matched.size:
+        counts = match_trackers(candidates, trackers)
+        if not eliminate_unmatched(counts).size:
             break
-        found = confirm_motifs(candidates, matched, norm.values, config.match_threshold)
+        found = confirm_motifs(candidates, counts, norm.values, config.match_threshold)
         confirmed = eliminate_unconfirmed(candidates, found)
-        pool += [MemoryMotif(matrix.symbols[g[0] : g[0] + span : s], span, tuple(g)) for g in found]
+        pool += _memory(matrix.symbols, held_span, s, *held, ~_encapsulated(*held, *found, s))
+        held, held_span = found, span
         if template is None:
             template = confirmed[letters]
-        if not found:
+        if found[1].size == 1:  # no group confirmed
             break
         trackers = proliferate_and_mutate(candidates, confirmed, template)
         span += s
+    pool += _memory(matrix.symbols, held_span, s, *held)
     return streamline(pool)
 
 

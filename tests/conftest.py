@@ -143,3 +143,24 @@ def hand_matrix(values, span: int, words, ids=None):
     n = values.size - span + 1
     ids = np.zeros(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
     return CandidateMatrix(ids, window_ids(values, span), np.asarray(words, dtype=np.intp), 1, span)
+
+
+def word_counts(matrix, words) -> np.ndarray:
+    """Counts as match_trackers gives them, kept only for the given word ids: the rest read 0."""
+    counts = np.bincount(matrix.ids[matrix.words], minlength=int(matrix.ids.max(initial=-1)) + 1)
+    only = np.zeros_like(counts)
+    only[words] = counts[words]
+    return only
+
+
+def group_lists(found) -> list[list[int]]:
+    """The groups of a (members, bounds) pair, as groups returns them, as lists."""
+    members, bounds = found
+    flat = members.tolist()
+    return [flat[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
+def group_arrays(lists) -> tuple[np.ndarray, np.ndarray]:
+    """The (members, bounds) pair of groups given as lists."""
+    bounds = np.cumsum([0] + [len(group) for group in lists])
+    return np.array([x for group in lists for x in group], dtype=np.intp), bounds

@@ -106,6 +106,14 @@ class TestDiscover:
         assert result.exit_code == 0
         assert result.output == (walk / "expected_report.txt").read_text()
 
+    def test_periodic_fixture_report(self, runner):
+        # period 13 with one break and one disturbed stretch: most groups are
+        # encapsulated by the next generation's and never reach streamline
+        periodic = DATA_DIR / "periodic"
+        result = runner.invoke(main, ["discover", str(periodic / "periodic.txt"), "-s", "4", "-a", "6", "--tme"])
+        assert result.exit_code == 0
+        assert result.output == (periodic / "expected_report.txt").read_text()
+
 
 class TestWithoutScipy:
     """The package runs on numpy and click alone."""

@@ -20,7 +20,15 @@ from motiftrack import (
 )
 from motiftrack.tracker import confirm_motifs, groups
 
-from conftest import candidates_at, corpus_instances, hand_matrix, motif_signature, window_ids
+from conftest import (
+    candidates_at,
+    corpus_instances,
+    group_lists,
+    hand_matrix,
+    motif_signature,
+    window_ids,
+    word_counts,
+)
 
 
 class TestExactMotifs:
@@ -249,8 +257,8 @@ class TestThresholdGroupsReference:
                 for x in candidates.words.tolist():
                     by_word.setdefault(int(candidates.ids[x]), []).append(x)
                 for word, starts in by_word.items():
-                    found = confirm_motifs(candidates, np.array([word]), norm.values, r)
-                    engine = [tuple(group) for group in found]
+                    found = confirm_motifs(candidates, word_counts(candidates, [word]), norm.values, r)
+                    engine = [tuple(group) for group in group_lists(found)]
                     assert engine == pair_graph_components(pairs, starts), (index, generation, word)
 
     def test_chain_joins_starts_that_are_not_within_r(self):
@@ -268,7 +276,7 @@ class TestThresholdGroupsReference:
         chosen = {(i, j) for i, j, _ in pairs if {i, j} <= {0, 10, 20}}
         assert chosen == {(0, 20), (10, 20)}
         candidates = hand_matrix(norm.values, 2, [0, 10, 20])
-        assert confirm_motifs(candidates, np.array([0]), norm.values, r) == [[0, 10, 20]]
+        assert group_lists(confirm_motifs(candidates, word_counts(candidates, [0]), norm.values, r)) == [[0, 10, 20]]
         assert pair_graph_components(pairs, [0, 10, 20]) == [(0, 10, 20)]
 
 
@@ -301,7 +309,7 @@ class TestGroups:
                 classes.setdefault(series.values[x : x + span].tobytes(), []).append(x)
             expected = sorted(group for group in classes.values() if len(group) >= 2)
             norm = z_normalize(series).values
-            assert groups(norm, s, span, starts, words, raw, 0.0) == expected, index
+            assert group_lists(groups(norm, s, span, starts, words, raw, 0.0)) == expected, index
 
     def test_threshold_groups_are_pair_graph_components(self):
         for index, series, s, span, starts, words, raw in self.instances(150):
@@ -310,7 +318,7 @@ class TestGroups:
             expected = []
             for word in set(words.tolist()):
                 expected += pair_graph_components(pairs, starts[words == word].tolist())
-            found = groups(z_normalize(series).values, s, span, starts, words, raw, r)
+            found = group_lists(groups(z_normalize(series).values, s, span, starts, words, raw, r))
             assert [tuple(group) for group in found] == sorted(expected), (index, r)
 
 

@@ -34,7 +34,16 @@ from motiftrack.tracker import (
     proliferate_and_mutate,
 )
 
-from conftest import candidates_at, hand_matrix, letters_of, motif_signature, window_ids
+from conftest import (
+    candidates_at,
+    group_arrays,
+    group_lists,
+    hand_matrix,
+    letters_of,
+    motif_signature,
+    window_ids,
+    word_counts,
+)
 
 TABLE_MOTIFS = [
     (280, (386, 717)),
@@ -176,8 +185,8 @@ class TestConfirm:
         vals[10:14] = [9.0, 7.0, 9.0, 7.0]
         vals[50:54] = [9.0, 7.0, 9.0, 7.0]
         cm = hand_matrix(vals, 4, [10, 50])
-        found = confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0)
-        assert found == [[10, 50]]
+        found = confirm_motifs(cm, word_counts(cm, [0]), normalized(vals).values, 0.0)
+        assert group_lists(found) == [[10, 50]]
         assert eliminate_unconfirmed(cm, found).tolist() == [True]
 
     def test_differing_pair_rejected(self):
@@ -185,8 +194,8 @@ class TestConfirm:
         vals[10:14] = [9.0, 7.0, 9.0, 7.0]
         vals[50:54] = [9.0, 7.0, 9.0, 8.0]
         cm = hand_matrix(vals, 4, [10, 50])
-        found = confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0)
-        assert found == []
+        found = confirm_motifs(cm, word_counts(cm, [0]), normalized(vals).values, 0.0)
+        assert group_lists(found) == []
         assert eliminate_unconfirmed(cm, found).tolist() == [False]
 
     def test_three_way_group(self):
@@ -196,7 +205,7 @@ class TestConfirm:
         for start in (387, 620, 669):
             vals[start : start + 20] = block
         cm = hand_matrix(vals, 20, [387, 620, 669])
-        assert confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0) == [[387, 620, 669]]
+        assert group_lists(confirm_motifs(cm, word_counts(cm, [0]), normalized(vals).values, 0.0)) == [[387, 620, 669]]
 
     def test_colliding_classes_stay_separate(self):
         # same symbol text over different underlying data: two motifs result
@@ -206,27 +215,27 @@ class TestConfirm:
         vals[20:22] = [2.0, 2.0]
         vals[30:32] = [2.0, 2.0]
         cm = hand_matrix(vals, 2, [0, 10, 20, 30])
-        assert confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.0) == [[0, 10], [20, 30]]
+        assert group_lists(confirm_motifs(cm, word_counts(cm, [0]), normalized(vals).values, 0.0)) == [[0, 10], [20, 30]]
 
     def test_threshold_admits_near_misses(self):
         vals = [0.0] * 40
         vals[10:12] = [1.0, 1.0]
         vals[30:32] = [1.0, 1.05]
         cm = hand_matrix(vals, 2, [10, 30])
-        assert confirm_motifs(cm, np.array([0]), normalized(vals).values, 0.1) == [[10, 30]]
+        assert group_lists(confirm_motifs(cm, word_counts(cm, [0]), normalized(vals).values, 0.1)) == [[10, 30]]
 
     def test_eliminate_unconfirmed(self):
         # words 0 and 1; only word 1 has a confirmed group
         cm = hand_matrix([0.0] * 8, 2, [0, 2, 4, 6], ids=[0, 0, 1, 0, 1, 0, 1])
-        assert eliminate_unconfirmed(cm, [[2, 4]]).tolist() == [False, True]
-        assert eliminate_unconfirmed(cm, []).tolist() == [False, False]
+        assert eliminate_unconfirmed(cm, group_arrays([[2, 4]])).tolist() == [False, True]
+        assert eliminate_unconfirmed(cm, group_arrays([])).tolist() == [False, False]
 
 
 def per_word_confirm(cm, matched, values, r):
     """One confirm_motifs call per word: the groups, ordered by first start, and the confirmed words."""
     found, confirmed = [], []
     for k in matched:
-        own = confirm_motifs(cm, np.array([k]), values, r)
+        own = group_lists(confirm_motifs(cm, word_counts(cm, [k]), values, r))
         found += own
         confirmed.append(bool(own))
     return sorted(found), confirmed
@@ -250,19 +259,20 @@ class TestConfirmSharedRounds:
         ids[0 : 4 * count : 4] = words
         cm = hand_matrix(vals, span, range(0, 4 * count, 4), ids=ids)
         r = 0.5
-        matched = eliminate_unmatched(match_trackers(cm, np.ones(ids.size, dtype=bool)))
+        counts = match_trackers(cm, np.ones(ids.size, dtype=bool))
+        matched = eliminate_unmatched(counts)
         assert matched.tolist() == [1, 2, 3]
-        found = confirm_motifs(cm, matched, vals, r)
+        found = confirm_motifs(cm, counts, vals, r)
         expected, confirmed = per_word_confirm(cm, matched, vals, r)
-        assert found == expected
+        assert group_lists(found) == expected
         assert confirmed == [True, True, True]
         assert eliminate_unconfirmed(cm, found)[:4].tolist() == [False, True, True, True]
-        assert all(len({ids[x] for x in group}) == 1 for group in found)
-        assert len([group for group in found if ids[group[0]] == 3]) >= 2
+        assert all(len({ids[x] for x in group}) == 1 for group in group_lists(found))
+        assert len([group for group in group_lists(found) if ids[group[0]] == 3]) >= 2
         # the same windows under one word chain across the words' starts
         pooled = hand_matrix(vals, span, range(0, 4 * count, 4))
-        merged = confirm_motifs(pooled, np.array([0]), vals, r)
-        assert max(len(group) for group in merged) > max(len(group) for group in found)
+        merged = group_lists(confirm_motifs(pooled, word_counts(pooled, [0]), vals, r))
+        assert max(len(group) for group in merged) > max(len(group) for group in group_lists(found))
 
     @pytest.mark.parametrize("tme", [False, True])
     def test_every_text_of_seeded_series(self, tme):
@@ -286,9 +296,9 @@ class TestConfirmSharedRounds:
                 sizes_seen.update(counts[counts > 0].tolist())
                 present = np.flatnonzero(counts)
                 for r in (0.3, 1.0, 2.5):
-                    found = confirm_motifs(cm, present, norm_values, r)
+                    found = confirm_motifs(cm, counts, norm_values, r)
                     expected, confirmed = per_word_confirm(cm, present, norm_values, r)
-                    assert found == expected, (seed, generation, r)
+                    assert group_lists(found) == expected, (seed, generation, r)
                     assert eliminate_unconfirmed(cm, found)[present].tolist() == confirmed
         assert {1, 2, 3} <= sizes_seen and max(sizes_seen) >= 50
 
@@ -313,8 +323,9 @@ class TestThresholdBoundary:
             for j in range(i + 1, len(starts))
         )
         cm = hand_matrix(vals, span, starts)
-        assert confirm_motifs(cm, np.array([0]), vals, r) == [[a, b]]
-        assert confirm_motifs(cm, np.array([0]), vals, float(np.nextafter(r, 0))) == []
+        counts = word_counts(cm, [0])
+        assert group_lists(confirm_motifs(cm, counts, vals, r)) == [[a, b]]
+        assert group_lists(confirm_motifs(cm, counts, vals, float(np.nextafter(r, 0)))) == []
 
     # A window x and its copy shifted by c: every block mean differs by c, so
     # the lower bounds equal the distance and only the rounding margin keeps
@@ -334,8 +345,9 @@ class TestThresholdBoundary:
     def assert_boundary(self, cm, vals, a: int, b: int) -> None:
         span = cm.point_span
         r = euclidean_distance(vals[a : a + span], vals[b : b + span])
-        assert confirm_motifs(cm, np.array([0]), vals, r) == [[a, b]], r
-        assert confirm_motifs(cm, np.array([0]), vals, float(np.nextafter(r, 0))) == [], r
+        counts = word_counts(cm, [0])
+        assert group_lists(confirm_motifs(cm, counts, vals, r)) == [[a, b]], r
+        assert group_lists(confirm_motifs(cm, counts, vals, float(np.nextafter(r, 0)))) == [], r
 
     @pytest.mark.parametrize("lead", [0, 20_000])
     @pytest.mark.parametrize("span", [1, 7, 8, 9, 127, 128, 129, 300])
@@ -384,12 +396,12 @@ class TestConfirmCost:
             rows[-1][0] += a.size
             return within(windows, a, b, threshold)
 
-        def counting_confirm(matrix, matched, values, threshold):
-            starts = matrix.words[np.isin(matrix.ids[matrix.words], matched)]
+        def counting_confirm(matrix, counts, values, threshold):
+            starts = matrix.words[counts[matrix.ids[matrix.words]] >= 2]
             pairs = sorted(set(zip(matrix.ids[starts].tolist(), matrix.raw[starts].tolist())))
             classes = np.bincount([word for word, _ in pairs]) if pairs else np.zeros(0, dtype=np.int64)
             rows.append([0, int((classes * (classes - 1) // 2).sum())])
-            return confirm(matrix, matched, values, threshold)
+            return confirm(matrix, counts, values, threshold)
 
         monkeypatch.setattr(tracker_module, "_within", counting_within)
         monkeypatch.setattr(tracker_module, "confirm_motifs", counting_confirm)
@@ -566,6 +578,126 @@ class TestStreamlineIndex:
         assert list(streamline([empty])) == [empty]
         pool = [empty, MemoryMotif("b", 6, (1, 9))]
         assert list(streamline(pool)) == reference_streamline(pool) == [pool[1]]
+
+
+def disjoint_groups(rng: random.Random, n: int, count: int) -> list[list[int]]:
+    """Up to count disjoint groups of two or more starts below n, each ascending, ordered by first start."""
+    free = rng.sample(range(n), n)
+    found = []
+    for _ in range(count):
+        size = rng.randint(2, 5)
+        if len(free) < size:
+            break
+        found.append(sorted(free[:size]))
+        free = free[size:]
+    return sorted(found)
+
+
+class TestEncapsulatedGroups:
+    """_encapsulated drops a group exactly when the longer group holding its
+    first member encapsulates it, on plain (members, bounds) arrays."""
+
+    SPAN = 6
+
+    def expected(self, shorter, longer, s: int) -> list[bool]:
+        out = []
+        for group in shorter:
+            host = [other for other in longer if group[0] in other]
+            out.append(
+                bool(host)
+                and encapsulates(MemoryMotif("", self.SPAN + s, tuple(host[0])), MemoryMotif("", self.SPAN, tuple(group)))
+            )
+        return out
+
+    def drops(self, shorter, longer, s: int) -> list[bool]:
+        return tracker_module._encapsulated(*group_arrays(shorter), *group_arrays(longer), s).tolist()
+
+    def test_member_s_points_later_is_covered(self):
+        # b = o - s: [8, 8 + span + s) holds [10, 10 + span)
+        assert self.drops([[5, 10]], [[5, 8]], 2) == [True]
+        assert self.expected([[5, 10]], [[5, 8]], 2) == [True]
+
+    def test_member_s_plus_one_points_later_is_not(self):
+        # b = o - s - 1: [7, 7 + span + s) ends one point short of 10 + span
+        assert self.drops([[5, 10]], [[5, 7]], 2) == [False]
+        assert self.expected([[5, 10]], [[5, 7]], 2) == [False]
+
+    def test_only_the_group_of_the_first_member_is_tried(self):
+        # [[3, 9]] covers [[4, 9]], but 4 sits in the longer group [[4, 20]]
+        assert self.drops([[4, 9]], [[3, 9], [4, 20]], 1) == [False]
+        assert self.drops([[4, 9]], [[3, 9]], 1) == [False]
+        assert self.drops([[4, 9]], [[4, 9]], 1) == [True]
+
+    def test_member_before_every_longer_start(self):
+        # the key search for 0 finds no longer start at or before it
+        assert self.drops([[0, 6], [2, 9]], [[2, 8, 30]], 3) == [False, True]
+
+    def test_no_longer_groups(self):
+        assert self.drops([[1, 4], [2, 7]], [], 2) == [False, False]
+        assert self.drops([], [[1, 4]], 2) == []
+
+    def test_matches_encapsulates_on_seeded_groups(self):
+        dropped = kept = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            s, n = rng.randint(1, 4), rng.randint(4, 40)
+            longer = disjoint_groups(rng, n, rng.randint(0, 5))
+            # some shorter groups are longer groups moved right by up to s + 1 points
+            shorter = [
+                sorted({x + rng.randint(0, s + 1) if k else x for k, x in enumerate(group)})
+                for group in longer
+                if rng.random() < 0.6
+            ]
+            taken = {x for group in shorter for x in group}
+            shorter += [group for group in disjoint_groups(rng, n + s, 3) if not taken & set(group)]
+            shorter = sorted(group for group in shorter if len(group) >= 2)
+            if len({x for group in shorter for x in group}) < sum(map(len, shorter)):
+                continue  # moved members met: groups of one generation are disjoint
+            found = self.drops(shorter, longer, s)
+            assert found == self.expected(shorter, longer, s), (seed, shorter, longer, s)
+            dropped += sum(found)
+            kept += len(found) - sum(found)
+        assert dropped > 100 and kept > 100
+
+
+class TestPoolPrune:
+    """Groups a next-generation group encapsulates never reach streamline.
+
+    Counting the pool that run_mta passes to streamline: on constant data
+    only the last generation's group is stored, and period 37 with TME
+    stores fewer groups than confirmation finds.
+    """
+
+    M = 1500
+
+    def run(self, monkeypatch, values, config):
+        pools, confirmed = [], []
+        streamline_, confirm = tracker_module.streamline, tracker_module.confirm_motifs
+
+        def counting_streamline(pool):
+            pools.append(len(pool))
+            return streamline_(pool)
+
+        def counting_confirm(*args):
+            found = confirm(*args)
+            confirmed.append(found[1].size - 1)
+            return found
+
+        monkeypatch.setattr(tracker_module, "streamline", counting_streamline)
+        monkeypatch.setattr(tracker_module, "confirm_motifs", counting_confirm)
+        motifs = run_mta(TimeSeries(values), config)
+        return motifs, pools, sum(confirmed)
+
+    def test_constant_data_pools_one_group(self, monkeypatch):
+        motifs, pools, confirmed = self.run(monkeypatch, np.full(self.M, 5.0), MtaConfig(SaxConfig(10, 10)))
+        assert pools == [1] and len(motifs) == 1
+        assert confirmed == self.M // 10 - 1  # one group per span below m; at m one start is left
+
+    def test_period_37_with_tme_pools_fewer_than_confirmed(self, monkeypatch):
+        period = np.random.default_rng(0).standard_normal(37)
+        values = np.tile(period, self.M // 37 + 1)[: self.M]
+        motifs, pools, confirmed = self.run(monkeypatch, values, MtaConfig(SaxConfig(10, 10), 0.0, True))
+        assert len(pools) == 1 and len(motifs) <= pools[0] < confirmed
 
 
 class TestRunMta:
