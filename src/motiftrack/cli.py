@@ -19,14 +19,7 @@ from . import ingest as ingest_mod
 from .oracle import brute_force_exact_motifs
 from .sax import SaxConfig, build_symbol_matrix
 from .series import TimeSeries, dump_series_text, load_series_file, z_normalize
-from .tracker import (
-    MemoryMotif,
-    MotifSet,
-    MtaConfig,
-    format_motif_report,
-    quality_measure,
-    run_mta,
-)
+from .tracker import MtaConfig, format_motif_report, quality_measure, run_mta
 
 
 def _fail(message: str) -> NoReturn:
@@ -199,17 +192,7 @@ def cmd_oracle(series_path, symbol_length, alphabet, min_separation, min_length,
     motifs = brute_force_exact_motifs(series, symbol_length, min_separation)
     # the search is symbol-free; render texts only so reports diff cleanly
     matrix = build_symbol_matrix(z_normalize(series), sax_config)
-    rendered = MotifSet(
-        tuple(
-            MemoryMotif(
-                matrix.symbols[mo.occurrences[0] : mo.occurrences[0] + mo.point_length : symbol_length],
-                mo.point_length,
-                mo.occurrences,
-            )
-            for mo in motifs
-        )
-    )
-    _emit(format_motif_report(rendered, min_length), output)
+    _emit(format_motif_report(motifs.with_text(matrix), min_length), output)
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,8 @@ def load_syscall_map_text(text: str) -> SyscallMap:
 
 
 def load_syscall_map(path) -> SyscallMap:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a 'name id' table file; a leading UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return load_syscall_map_text(fh.read())
 
 

@@ -16,9 +16,9 @@ mean or PAA lower bound exceeds r pruned before their distance is computed.
 A generation's groups are one array of starts plus group bounds.  Each is
 stored in the memory pool once the next generation is confirmed, unless a
 longer group encapsulates it: covered groups, which streamlining would drop,
-never enter the pool.  Only the stored groups get tuples and symbol text cut
-from the symbol matrix, and the pool is finally streamlined into a canonical
-motif set.
+never enter the pool.  Only the stored groups become tuples, and the pool is
+finally streamlined into a canonical motif set; only the motifs that survive
+get their symbol text, cut once from the symbol matrix.
 
 There is no randomness anywhere in the cycle: "mutation" enumerates the
 fixed template symbols, so identical inputs always produce identical output.
@@ -29,11 +29,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sax import SaxConfig, build_symbol_matrix
+from .sax import SaxConfig, SymbolMatrix, build_symbol_matrix
 from .series import TimeSeries, z_normalize
 # unused here, but perfbench's tracer wraps tracker.euclidean_distance and
 # reports its pair counts as missing, not 0, when the name is absent
@@ -97,6 +97,16 @@ class MotifSet:
 
     def __len__(self) -> int:
         return len(self.motifs)
+
+    def with_text(self, matrix: SymbolMatrix) -> MotifSet:
+        """The same motifs, each with its symbol text: every s-th symbol from its first start."""
+        s, symbols = matrix.config.symbol_length, matrix.symbols
+        return MotifSet(
+            tuple(
+                replace(mo, text=symbols[mo.occurrences[0] : mo.occurrences[0] + mo.point_length : s])
+                for mo in self.motifs
+            )
+        )
 
 
 def _refine(ids: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -379,16 +389,13 @@ def _encapsulated(
     return np.logical_and.reduceat(ok, bounds[:-1])
 
 
-def _memory(symbols: str, span: int, s: int, members: np.ndarray, bounds: np.ndarray, keep=None) -> list[MemoryMotif]:
-    """The memory motifs of the groups, or of those keep marks, each with its symbol text cut from symbols."""
+def _memory(span: int, members: np.ndarray, bounds: np.ndarray, keep=None) -> list[MemoryMotif]:
+    """The memory motifs of the groups, or of those keep marks, with empty text (MotifSet.with_text cuts it)."""
     sizes = np.diff(bounds)
     if keep is not None:
         members, sizes = members[np.repeat(keep, sizes)], sizes[keep]
     flat, ends = members.tolist(), np.cumsum(sizes).tolist()
-    return [
-        MemoryMotif(symbols[flat[lo] : flat[lo] + span : s], span, tuple(flat[lo:hi]))
-        for lo, hi in zip([0] + ends[:-1], ends)
-    ]
+    return [MemoryMotif("", span, tuple(flat[lo:hi])) for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def _covers(starts: list[int], length: int, occurrences, point_length: int) -> bool:
@@ -462,7 +469,8 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     start), then loop candidates / match / eliminate / confirm / store /
     extend until no tracker is confirmed or no word is constructible, and
     finally streamline the pool.  The mutation template is frozen after
-    generation 1.
+    generation 1.  Pooled motifs carry no text; the streamlined ones get
+    theirs from MotifSet.with_text.
 
     A generation's groups are stored once the next generation is confirmed,
     except those a next-generation group encapsulates (_encapsulated):
@@ -489,7 +497,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
             break
         found = confirm_motifs(candidates, counts, norm.values, config.match_threshold)
         confirmed = eliminate_unconfirmed(candidates, found)
-        pool += _memory(matrix.symbols, held_span, s, *held, ~_encapsulated(*held, *found, s))
+        pool += _memory(held_span, *held, ~_encapsulated(*held, *found, s))
         held, held_span = found, span
         if template is None:
             template = confirmed[letters]
@@ -497,8 +505,8 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
             break
         trackers = proliferate_and_mutate(candidates, confirmed, template)
         span += s
-    pool += _memory(matrix.symbols, held_span, s, *held)
-    return streamline(pool)
+    pool += _memory(held_span, *held)
+    return streamline(pool).with_text(matrix)
 
 
 def quality_measure(motifs: MotifSet, min_length: int = 0) -> int:

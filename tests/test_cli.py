@@ -148,6 +148,16 @@ class TestOracleCommand:
         assert oracle.exit_code == 0
         assert oracle.output == discover.output
 
+    def test_matches_discover_on_periodic_fixture(self, runner):
+        # overlapping occurrences: discover keeps them all, so the oracle must too
+        path = str(DATA_DIR / "periodic" / "periodic.txt")
+        args = ["-s", "4", "-a", "6", "--min-length", "0"]
+        discover = runner.invoke(main, ["discover", path, *args, "--no-tme"])
+        oracle = runner.invoke(main, ["oracle", path, *args, "--min-separation", "1"])
+        assert discover.exit_code == oracle.exit_code == 0
+        assert oracle.output == discover.output
+        assert sum(line.startswith("motif ") for line in discover.output.splitlines()) == 66
+
     def test_all_distinct_is_empty_report(self, runner, tmp_path):
         path = tmp_path / "ramp.txt"
         path.write_text("".join(f"{i}\n" for i in range(30)))
@@ -312,6 +322,19 @@ class TestIngest:
         )
         assert result.exit_code == 0
         assert out.read_text() == "1\n2\n"
+
+    def test_map_with_byte_order_mark(self, runner, tmp_path):
+        (tmp_path / "trace.7").write_text("read(3) = 0\nwrite(1) = 0\nread(3) = 0\n")
+        table = tmp_path / "bom.map"
+        table.write_bytes(b"\xef\xbb\xbfread 3\nwrite 4\n")
+        out = tmp_path / "series.txt"
+        result = runner.invoke(
+            main,
+            ["ingest", str(tmp_path / "trace"), "--syscall-map", str(table), "-o", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == "parsed=3 skipped=0 dropped=0 emitted=3\n"
+        assert out.read_text() == "3\n4\n3\n"
 
 
 class TestSweep:

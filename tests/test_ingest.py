@@ -15,6 +15,7 @@ from motiftrack import (
 )
 from motiftrack.ingest import (
     bundled_syscall_map,
+    load_syscall_map,
     load_syscall_map_text,
     parse_strace_file,
     pid_suffix,
@@ -261,6 +262,12 @@ class TestSyscallMap:
         for big in (2**53 + 1, 10**400):
             with pytest.raises(ValueError, match="line 2: id for 'write' is too large"):
                 load_syscall_map_text(f"read {2**53}\nwrite {big}\n")
+
+    def test_file_with_byte_order_mark(self, tmp_path):
+        # a BOM read as text would name the first call "\ufeffread"
+        path = tmp_path / "bom.map"
+        path.write_bytes(b"\xef\xbb\xbfread 3\nwrite 4\n")
+        assert load_syscall_map(path).entries == {"read": 3, "write": 4}
 
     def test_bundled_table_spot_values(self):
         table = default_syscall_map()

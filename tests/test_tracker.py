@@ -665,7 +665,8 @@ class TestPoolPrune:
 
     Counting the pool that run_mta passes to streamline: on constant data
     only the last generation's group is stored, and period 37 with TME
-    stores fewer groups than confirmation finds.
+    stores fewer groups than confirmation finds.  Pooled motifs carry no
+    text: only the streamlined ones get theirs.
     """
 
     M = 1500
@@ -676,6 +677,7 @@ class TestPoolPrune:
 
         def counting_streamline(pool):
             pools.append(len(pool))
+            assert all(mo.text == "" for mo in pool)
             return streamline_(pool)
 
         def counting_confirm(*args):
@@ -698,6 +700,7 @@ class TestPoolPrune:
         values = np.tile(period, self.M // 37 + 1)[: self.M]
         motifs, pools, confirmed = self.run(monkeypatch, values, MtaConfig(SaxConfig(10, 10), 0.0, True))
         assert len(pools) == 1 and len(motifs) <= pools[0] < confirmed
+        assert pools == [1449] and len(motifs) == 10  # the same pool as when every stored group had its text
 
 
 class TestRunMta:
