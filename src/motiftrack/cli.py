@@ -7,7 +7,6 @@ or input errors, for script composability.
 from __future__ import annotations
 
 import glob
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ def _load_series(path) -> TimeSeries:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    if output is not None:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -115,18 +114,14 @@ def cmd_ingest(trace_prefix, map_path, table, tail, strict, output):
     values = series.values
     if tail is not None:
         values = values[-tail:]
-    try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(dump_series_text(values))
-    except OSError as exc:
-        _fail(f"cannot write {output}: {exc}")
-    emitted = len(values)
-    click.echo(f"parsed={parsed} skipped={skipped} dropped={dropped} emitted={emitted}")
+    _emit(dump_series_text(values), output)
+    click.echo(f"parsed={parsed} skipped={skipped} dropped={dropped} emitted={len(values)}")
 
 
-def _sax_or_fail(symbol_length, alphabet, series=None) -> SaxConfig:
+def _config_or_fail(symbol_length, alphabet, threshold=0.0, tme=False, series=None) -> MtaConfig:
+    """The engine config of the options, or exit 2 naming the rule they break."""
     try:
-        config = SaxConfig(symbol_length, alphabet)
+        config = MtaConfig(SaxConfig(symbol_length, alphabet), threshold, tme)
     except ValueError as exc:
         _fail(str(exc))
     if series is not None and len(series) < symbol_length:
@@ -154,12 +149,10 @@ def _sax_or_fail(symbol_length, alphabet, series=None) -> SaxConfig:
 def cmd_discover(series_path, symbol_length, alphabet, threshold, tme, min_length, output):
     """Run the tracking engine on a series file and print the motif report."""
     series = _load_series(series_path)
-    sax_config = _sax_or_fail(symbol_length, alphabet, series)
-    if math.isnan(threshold) or threshold < 0:
-        _fail("threshold must be a non-negative number")
+    config = _config_or_fail(symbol_length, alphabet, threshold, tme, series)
     if min_length < 0:
         _fail("min-length must be non-negative")
-    motifs = run_mta(series, MtaConfig(sax_config, threshold, tme))
+    motifs = run_mta(series, config)
     _emit(format_motif_report(motifs, min_length), output)
 
 
@@ -184,7 +177,7 @@ def cmd_discover(series_path, symbol_length, alphabet, threshold, tme, min_lengt
 def cmd_oracle(series_path, symbol_length, alphabet, min_separation, min_length, output):
     """Brute-force exact-repeat report, for diffing against discover."""
     series = _load_series(series_path)
-    sax_config = _sax_or_fail(symbol_length, alphabet, series)
+    sax_config = _config_or_fail(symbol_length, alphabet, series=series).sax
     if min_length < 0:
         _fail("min-length must be non-negative")
     if min_separation is not None and min_separation < 1:
@@ -304,9 +297,7 @@ def cmd_sweep(series_path, symbol_lengths, alphabets, threshold, tme_mode, min_l
     series = _load_series(series_path)
     for s in symbol_lengths:  # a cell fails only on the data, as with a series shorter than s
         for a in alphabets:
-            _sax_or_fail(s, a)
-    if math.isnan(threshold) or threshold < 0:
-        _fail("threshold must be a non-negative number")
+            _config_or_fail(s, a, threshold)
     if min_length < 0:
         _fail("min-length must be non-negative")
     if jobs < 1:

@@ -99,14 +99,16 @@ class MotifSet:
         return len(self.motifs)
 
     def with_text(self, matrix: SymbolMatrix) -> MotifSet:
-        """The same motifs, each with its symbol text: every s-th symbol from its first start."""
+        """The same motifs, each with its symbol text: every s-th symbol from its first start.
+
+        A motif with no occurrences gets empty text.
+        """
         s, symbols = matrix.config.symbol_length, matrix.symbols
-        return MotifSet(
-            tuple(
-                replace(mo, text=symbols[mo.occurrences[0] : mo.occurrences[0] + mo.point_length : s])
-                for mo in self.motifs
-            )
-        )
+
+        def text(mo: MemoryMotif) -> str:
+            return symbols[mo.occurrences[0] : mo.occurrences[0] + mo.point_length : s] if mo.occurrences else ""
+
+        return MotifSet(tuple(replace(mo, text=text(mo)) for mo in self.motifs))
 
 
 def _refine(ids: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -477,10 +479,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     streamline would drop them, so covered groups never enter the pool.
     The last generation's groups are stored whole.
     """
-    s = config.sax.symbol_length
-    m = len(series)
-    if m < s:
-        raise ValueError("series shorter than symbol length")
+    s, m = config.sax.symbol_length, len(series)
     norm = z_normalize(series)
     matrix = build_symbol_matrix(norm, config.sax)
     letters = np.frombuffer(matrix.symbols.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("a")

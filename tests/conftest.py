@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from motiftrack import TimeSeries
-from motiftrack.tracker import CandidateMatrix, build_candidate_matrix
+from motiftrack.tracker import build_candidate_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -131,26 +131,6 @@ def candidates_at(symbols: str, s: int, generation: int, tme: bool = False, valu
     for _ in range(generation):
         matrix = build_candidate_matrix(letters, blocks, matrix, s, tme)
     return matrix
-
-
-def hand_matrix(values, span: int, words, ids=None):
-    """A one-generation matrix of span points over hand-picked candidate starts.
-
-    Every start shares one word unless ids gives each start's word.  Raw
-    ids number the windows by their bytes, as run_mta does.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.size - span + 1
-    ids = np.zeros(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
-    return CandidateMatrix(ids, window_ids(values, span), np.asarray(words, dtype=np.intp), 1, span)
-
-
-def word_counts(matrix, words) -> np.ndarray:
-    """Counts as match_trackers gives them, kept only for the given word ids: the rest read 0."""
-    counts = np.bincount(matrix.ids[matrix.words], minlength=int(matrix.ids.max(initial=-1)) + 1)
-    only = np.zeros_like(counts)
-    only[words] = counts[words]
-    return only
 
 
 def group_lists(found) -> list[list[int]]:

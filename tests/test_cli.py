@@ -456,8 +456,8 @@ def bad_invocations(draw, root):
         defect = draw(st.sampled_from(["option", "prefix", "output", "map"]))
         if defect == "prefix":
             prefix = str(root / draw(st.sampled_from(["missing", "empty", "comments", "directory", "."])))
-        elif defect == "output":
-            output = str(root / "out")
+        elif defect == "output":  # a directory, or the empty path
+            output = draw(st.sampled_from([str(root / "out"), ""]))
         elif defect == "map":
             extra = ["--syscall-map", str(root / draw(st.sampled_from(["missing.map", "out", "series.txt"])))]
         argv = ["ingest", prefix, "-o", output, *extra]
@@ -468,7 +468,7 @@ def bad_invocations(draw, root):
             series = str(root / f"{draw(st.sampled_from(sorted(BAD_SERIES)))}.txt")
         argv = [command, series, "-s", "4", "-a", "4"]
         argv += ["--tme-mode", "off"] if command == "sweep" else []
-        argv += ["-o", str(root / "out")] if defect == "output" else []
+        argv += ["-o", draw(st.sampled_from([str(root / "out"), ""]))] if defect == "output" else []
     if defect == "option":
         option = draw(st.sampled_from(sorted(BAD_OPTIONS[command])))
         argv += [option, draw(BAD_OPTIONS[command][option])]

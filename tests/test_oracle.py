@@ -18,16 +18,14 @@ from motiftrack import (
     run_mta,
     z_normalize,
 )
-from motiftrack.tracker import confirm_motifs, groups
+from motiftrack.tracker import groups
 
 from conftest import (
     candidates_at,
     corpus_instances,
     group_lists,
-    hand_matrix,
     motif_signature,
     window_ids,
-    word_counts,
 )
 
 
@@ -253,13 +251,12 @@ class TestThresholdGroupsReference:
                     break
                 candidates = candidates_at(symbols, s, generation, index % 2 == 1, series.values)
                 pairs = brute_force_threshold_pairs(series, span, r)
-                by_word = {}
-                for x in candidates.words.tolist():
-                    by_word.setdefault(int(candidates.ids[x]), []).append(x)
-                for word, starts in by_word.items():
-                    found = confirm_motifs(candidates, word_counts(candidates, [word]), norm.values, r)
+                words = candidates.ids[candidates.words]
+                for word in np.unique(words).tolist():
+                    starts = candidates.words[words == word]
+                    found = groups(norm.values, s, span, starts, words[words == word], candidates.raw[starts], r)
                     engine = [tuple(group) for group in group_lists(found)]
-                    assert engine == pair_graph_components(pairs, starts), (index, generation, word)
+                    assert engine == pair_graph_components(pairs, starts.tolist()), (index, generation, word)
 
     def test_chain_joins_starts_that_are_not_within_r(self):
         # windows at 0 and 20 are each within r of the one at 10 but not of
@@ -275,8 +272,9 @@ class TestThresholdGroupsReference:
         pairs = brute_force_threshold_pairs(series, 2, r)
         chosen = {(i, j) for i, j, _ in pairs if {i, j} <= {0, 10, 20}}
         assert chosen == {(0, 20), (10, 20)}
-        candidates = hand_matrix(norm.values, 2, [0, 10, 20])
-        assert group_lists(confirm_motifs(candidates, word_counts(candidates, [0]), norm.values, r)) == [[0, 10, 20]]
+        starts = np.array([0, 10, 20])
+        raw = window_ids(norm.values, 2)[starts]
+        assert group_lists(groups(norm.values, 2, 2, starts, np.zeros(3, dtype=np.int64), raw, r)) == [[0, 10, 20]]
         assert pair_graph_components(pairs, [0, 10, 20]) == [(0, 10, 20)]
 
 

@@ -14,6 +14,7 @@ from motiftrack import (
     MotifSet,
     MtaConfig,
     SaxConfig,
+    SymbolMatrix,
     TimeSeries,
     build_symbol_matrix,
     encapsulates,
@@ -24,12 +25,10 @@ from motiftrack import (
     streamline,
     z_normalize,
 )
-from motiftrack.series import NormalizedSeries
 from motiftrack.tracker import (
-    CandidateMatrix,
-    confirm_motifs,
     eliminate_unconfirmed,
     eliminate_unmatched,
+    groups,
     match_trackers,
     proliferate_and_mutate,
 )
@@ -38,11 +37,9 @@ from conftest import (
     candidates_at,
     group_arrays,
     group_lists,
-    hand_matrix,
     letters_of,
     motif_signature,
     window_ids,
-    word_counts,
 )
 
 TABLE_MOTIFS = [
@@ -175,8 +172,11 @@ class TestMatching:
         assert eliminate_unmatched(np.array([1, 1])).tolist() == []
 
 
-def normalized(values) -> NormalizedSeries:
-    return NormalizedSeries(np.array(values, dtype=float), 0.0, 1.0)
+def hand_groups(vals, s: int, span: int, starts, r: float) -> list[list[int]]:
+    """groups over hand-picked starts of one word, their raw ids numbered by window bytes."""
+    vals, starts = np.asarray(vals, dtype=float), np.asarray(starts, dtype=np.intp)
+    words, raw = np.zeros(starts.size, dtype=np.int64), window_ids(vals, span)[starts]
+    return group_lists(groups(vals, s, span, starts, words, raw, r))
 
 
 class TestConfirm:
@@ -184,19 +184,13 @@ class TestConfirm:
         vals = [float(i) for i in range(60)]
         vals[10:14] = [9.0, 7.0, 9.0, 7.0]
         vals[50:54] = [9.0, 7.0, 9.0, 7.0]
-        cm = hand_matrix(vals, 4, [10, 50])
-        found = confirm_motifs(cm, word_counts(cm, [0]), normalized(vals).values, 0.0)
-        assert group_lists(found) == [[10, 50]]
-        assert eliminate_unconfirmed(cm, found).tolist() == [True]
+        assert hand_groups(vals, 4, 4, [10, 50], 0.0) == [[10, 50]]
 
     def test_differing_pair_rejected(self):
         vals = [float(i) for i in range(60)]
         vals[10:14] = [9.0, 7.0, 9.0, 7.0]
         vals[50:54] = [9.0, 7.0, 9.0, 8.0]
-        cm = hand_matrix(vals, 4, [10, 50])
-        found = confirm_motifs(cm, word_counts(cm, [0]), normalized(vals).values, 0.0)
-        assert group_lists(found) == []
-        assert eliminate_unconfirmed(cm, found).tolist() == [False]
+        assert hand_groups(vals, 4, 4, [10, 50], 0.0) == []
 
     def test_three_way_group(self):
         # mirrors a repeat seen at three distant positions
@@ -204,8 +198,7 @@ class TestConfirm:
         block = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0] * 2
         for start in (387, 620, 669):
             vals[start : start + 20] = block
-        cm = hand_matrix(vals, 20, [387, 620, 669])
-        assert group_lists(confirm_motifs(cm, word_counts(cm, [0]), normalized(vals).values, 0.0)) == [[387, 620, 669]]
+        assert hand_groups(vals, 20, 20, [387, 620, 669], 0.0) == [[387, 620, 669]]
 
     def test_colliding_classes_stay_separate(self):
         # same symbol text over different underlying data: two motifs result
@@ -214,35 +207,32 @@ class TestConfirm:
         vals[10:12] = [1.0, 1.0]
         vals[20:22] = [2.0, 2.0]
         vals[30:32] = [2.0, 2.0]
-        cm = hand_matrix(vals, 2, [0, 10, 20, 30])
-        assert group_lists(confirm_motifs(cm, word_counts(cm, [0]), normalized(vals).values, 0.0)) == [[0, 10], [20, 30]]
+        assert hand_groups(vals, 2, 2, [0, 10, 20, 30], 0.0) == [[0, 10], [20, 30]]
 
     def test_threshold_admits_near_misses(self):
         vals = [0.0] * 40
         vals[10:12] = [1.0, 1.0]
         vals[30:32] = [1.0, 1.05]
-        cm = hand_matrix(vals, 2, [10, 30])
-        assert group_lists(confirm_motifs(cm, word_counts(cm, [0]), normalized(vals).values, 0.1)) == [[10, 30]]
+        assert hand_groups(vals, 2, 2, [10, 30], 0.1) == [[10, 30]]
 
     def test_eliminate_unconfirmed(self):
-        # words 0 and 1; only word 1 has a confirmed group
-        cm = hand_matrix([0.0] * 8, 2, [0, 2, 4, 6], ids=[0, 0, 1, 0, 1, 0, 1])
+        # words 0 ("a") and 1 ("b"); only word 1 has a confirmed group
+        cm = candidates_at("aababab", 1, 1)
         assert eliminate_unconfirmed(cm, group_arrays([[2, 4]])).tolist() == [False, True]
         assert eliminate_unconfirmed(cm, group_arrays([])).tolist() == [False, False]
 
 
-def per_word_confirm(cm, matched, values, r):
-    """One confirm_motifs call per word: the groups, ordered by first start, and the confirmed words."""
-    found, confirmed = [], []
-    for k in matched:
-        own = group_lists(confirm_motifs(cm, word_counts(cm, [k]), values, r))
-        found += own
-        confirmed.append(bool(own))
-    return sorted(found), confirmed
-
-
 class TestConfirmSharedRounds:
-    """One confirm_motifs call over many words at r > 0 equals a call per word."""
+    """One groups call over many words at r > 0 equals a call per word."""
+
+    @staticmethod
+    def per_word(vals, s, span, starts, words, raw, r) -> list[list[int]]:
+        """The groups of one call per word, ordered by first start."""
+        found = []
+        for word in set(words.tolist()):
+            own = words == word
+            found += group_lists(groups(vals, s, span, starts[own], words[own], raw[own], r))
+        return sorted(found)
 
     def test_hand_built_trackers_of_one_two_three_and_fifty_starts(self):
         # every window is a small perturbation of one shape, so windows of
@@ -255,24 +245,17 @@ class TestConfirmSharedRounds:
         sizes = {0: 1, 1: 2, 2: 3, 3: 50}
         words = [word for word, k in sizes.items() for _ in range(k)]
         random.Random(5).shuffle(words)
-        ids = np.full(vals.size - span + 1, 4)  # starts that are not candidates
-        ids[0 : 4 * count : 4] = words
-        cm = hand_matrix(vals, span, range(0, 4 * count, 4), ids=ids)
-        r = 0.5
-        counts = match_trackers(cm, np.ones(ids.size, dtype=bool))
-        matched = eliminate_unmatched(counts)
-        assert matched.tolist() == [1, 2, 3]
-        found = confirm_motifs(cm, counts, vals, r)
-        expected, confirmed = per_word_confirm(cm, matched, vals, r)
-        assert group_lists(found) == expected
-        assert confirmed == [True, True, True]
-        assert eliminate_unconfirmed(cm, found)[:4].tolist() == [False, True, True, True]
-        assert all(len({ids[x] for x in group}) == 1 for group in group_lists(found))
-        assert len([group for group in group_lists(found) if ids[group[0]] == 3]) >= 2
+        starts, words, r = np.arange(0, 4 * count, 4), np.array(words), 0.5
+        raw = window_ids(vals, span)[starts]
+        found = group_lists(groups(vals, span, span, starts, words, raw, r))
+        assert found == self.per_word(vals, span, span, starts, words, raw, r)
+        word_of = dict(zip(starts.tolist(), words.tolist()))
+        assert all(len({word_of[x] for x in group}) == 1 for group in found)
+        assert {word_of[group[0]] for group in found} == {1, 2, 3}
+        assert len([group for group in found if word_of[group[0]] == 3]) >= 2
         # the same windows under one word chain across the words' starts
-        pooled = hand_matrix(vals, span, range(0, 4 * count, 4))
-        merged = group_lists(confirm_motifs(pooled, word_counts(pooled, [0]), vals, r))
-        assert max(len(group) for group in merged) > max(len(group) for group in group_lists(found))
+        merged = hand_groups(vals, span, span, starts, r)
+        assert max(len(group) for group in merged) > max(len(group) for group in found)
 
     @pytest.mark.parametrize("tme", [False, True])
     def test_every_text_of_seeded_series(self, tme):
@@ -292,14 +275,12 @@ class TestConfirmSharedRounds:
             symbols = build_symbol_matrix(z_normalize(series), SaxConfig(s, 4)).symbols
             for generation in (1, 2, 4):
                 cm = candidates_at(symbols, s, generation, tme, series.values)
-                counts = match_trackers(cm, np.ones(cm.ids.size, dtype=bool))
-                sizes_seen.update(counts[counts > 0].tolist())
-                present = np.flatnonzero(counts)
+                starts, span = cm.words, cm.point_span
+                words, raw = cm.ids[starts], cm.raw[starts]
+                sizes_seen.update(np.unique(words, return_counts=True)[1].tolist())
                 for r in (0.3, 1.0, 2.5):
-                    found = confirm_motifs(cm, counts, norm_values, r)
-                    expected, confirmed = per_word_confirm(cm, present, norm_values, r)
-                    assert group_lists(found) == expected, (seed, generation, r)
-                    assert eliminate_unconfirmed(cm, found)[present].tolist() == confirmed
+                    found = group_lists(groups(norm_values, s, span, starts, words, raw, r))
+                    assert found == self.per_word(norm_values, s, span, starts, words, raw, r), (seed, generation, r)
         assert {1, 2, 3} <= sizes_seen and max(sizes_seen) >= 50
 
 
@@ -322,10 +303,8 @@ class TestThresholdBoundary:
             for i in range(len(starts))
             for j in range(i + 1, len(starts))
         )
-        cm = hand_matrix(vals, span, starts)
-        counts = word_counts(cm, [0])
-        assert group_lists(confirm_motifs(cm, counts, vals, r)) == [[a, b]]
-        assert group_lists(confirm_motifs(cm, counts, vals, float(np.nextafter(r, 0)))) == []
+        assert hand_groups(vals, span, span, starts, r) == [[a, b]]
+        assert hand_groups(vals, span, span, starts, float(np.nextafter(r, 0))) == []
 
     # A window x and its copy shifted by c: every block mean differs by c, so
     # the lower bounds equal the distance and only the rounding margin keeps
@@ -342,28 +321,25 @@ class TestThresholdBoundary:
             vals = np.concatenate([head, x, rng.standard_normal(5), x + c, rng.standard_normal(3)])
             yield vals, lead, lead + span + 5
 
-    def assert_boundary(self, cm, vals, a: int, b: int) -> None:
-        span = cm.point_span
+    @staticmethod
+    def assert_boundary(vals, s: int, span: int, a: int, b: int) -> None:
         r = euclidean_distance(vals[a : a + span], vals[b : b + span])
-        counts = word_counts(cm, [0])
-        assert group_lists(confirm_motifs(cm, counts, vals, r)) == [[a, b]], r
-        assert group_lists(confirm_motifs(cm, counts, vals, float(np.nextafter(r, 0)))) == [], r
+        assert hand_groups(vals, s, span, [a, b], r) == [[a, b]], r
+        assert hand_groups(vals, s, span, [a, b], float(np.nextafter(r, 0))) == [], r
 
     @pytest.mark.parametrize("lead", [0, 20_000])
     @pytest.mark.parametrize("span", [1, 7, 8, 9, 127, 128, 129, 300])
     def test_offset_pair_at_generation_one(self, span, lead):
         for vals, a, b in self.offset_pairs(span, span, lead):
-            self.assert_boundary(hand_matrix(vals, span, [a, b]), vals, a, b)
+            self.assert_boundary(vals, span, span, a, b)
 
     @pytest.mark.parametrize("lead", [0, 20_000])
     @pytest.mark.parametrize("s, generation", [(1, 2), (2, 3), (3, 4), (8, 16), (9, 14), (5, 60)])
     def test_offset_pair_at_later_generations(self, s, generation, lead):
+        # one word over the pair; the bound then sums g block terms
         span = s * generation
         for vals, a, b in self.offset_pairs(span, 100 * s + generation, lead):
-            n = vals.size - span + 1
-            # one word over the pair; the bound then sums g block terms
-            cm = CandidateMatrix(np.zeros(n, dtype=np.int64), window_ids(vals, span), np.array([a, b]), generation, s)
-            self.assert_boundary(cm, vals, a, b)
+            self.assert_boundary(vals, s, span, a, b)
 
 
 class TestConfirmCost:
@@ -447,6 +423,18 @@ class TestProliferation:
 
     def test_empty_survivors(self):
         assert children(DE_BRUIJN, 2, [], "ab") == []
+
+
+class TestWithText:
+    MATRIX = SymbolMatrix("abcdefghij", SaxConfig(2, 10), 11)
+
+    def test_every_s_th_symbol_from_first_start(self):
+        motifs = MotifSet((MemoryMotif("", 6, (1, 4)), MemoryMotif("old", 2, (0, 8))))
+        assert [mo.text for mo in motifs.with_text(self.MATRIX)] == ["bdf", "a"]
+
+    def test_motif_without_occurrences_gets_empty_text(self):
+        motifs = streamline([MemoryMotif("old", 4, ())])
+        assert [mo.text for mo in motifs.with_text(self.MATRIX)] == [""]
 
 
 class TestStreamline:
