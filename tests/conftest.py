@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motiftrack import TimeSeries
-from motiftrack.tracker import build_candidate_matrix
+import motiftrack.tracker as tracker_module
+from motiftrack import MtaConfig, TimeSeries, run_mta
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -103,11 +103,6 @@ def corpus_instances(count: int = 200, seed: int = CORPUS_SEED):
         yield i, s, a, TimeSeries(np.array(vals))
 
 
-def letters_of(symbols: str) -> np.ndarray:
-    """Letter index of each symbol, as run_mta reads a symbol matrix."""
-    return np.frombuffer(symbols.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("a")
-
-
 def window_ids(values, span: int) -> np.ndarray:
     """Ids of every span-point window of values, numbered by their bytes."""
     values = np.asarray(values, dtype=float)
@@ -118,19 +113,18 @@ def window_ids(values, span: int) -> np.ndarray:
     )
 
 
-def candidates_at(symbols: str, s: int, generation: int, tme: bool = False, values=None):
-    """Generation g's candidate matrix of a symbol string, built one generation at a time.
+def groups_calls(series: TimeSeries, config: MtaConfig) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The (span, starts, words, raw) of each groups call one run_mta run makes, a call per generation."""
+    calls, inner = [], tracker_module.groups
 
-    Raw ids number the s-point windows of the series values by their bytes,
-    as run_mta does.  Without values the letters stand in for them, which
-    only serves where nothing is confirmed at r > 0: there they would join
-    windows of equal text.
-    """
-    letters, matrix = letters_of(symbols), None
-    blocks = letters if values is None else window_ids(values, s)
-    for _ in range(generation):
-        matrix = build_candidate_matrix(letters, blocks, matrix, s, tme)
-    return matrix
+    def recording(values, s, span, starts, words, raw, threshold):
+        calls.append((span, starts, words, raw))
+        return inner(values, s, span, starts, words, raw, threshold)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tracker_module, "groups", recording)
+        run_mta(series, config)
+    return calls
 
 
 def group_lists(found) -> list[list[int]]:

@@ -12,7 +12,6 @@ from motiftrack import (
     TimeSeries,
     brute_force_exact_motifs,
     brute_force_threshold_pairs,
-    build_symbol_matrix,
     maximal_exact_repeats,
     reference_motifs,
     run_mta,
@@ -20,13 +19,7 @@ from motiftrack import (
 )
 from motiftrack.tracker import groups
 
-from conftest import (
-    candidates_at,
-    corpus_instances,
-    group_lists,
-    motif_signature,
-    window_ids,
-)
+from conftest import corpus_instances, group_lists, groups_calls, motif_signature, window_ids
 
 
 class TestExactMotifs:
@@ -243,20 +236,17 @@ class TestThresholdGroupsReference:
     def test_groups_equal_pair_graph_components(self):
         for index, s, a, series in threshold_instances(150):
             norm = z_normalize(series)
-            symbols = build_symbol_matrix(norm, SaxConfig(s, a)).symbols
             r = (0.1, 0.5, 1.0, 2.0)[index % 4]
-            for generation in (1, 2, 3):
-                span = generation * s
-                if span > len(series):
+            # the matched starts of generations 1 to 3 of a real run at r
+            for span, starts, words, raw in groups_calls(series, MtaConfig(SaxConfig(s, a), r, index % 2 == 1)):
+                if span > 3 * s:
                     break
-                candidates = candidates_at(symbols, s, generation, index % 2 == 1, series.values)
                 pairs = brute_force_threshold_pairs(series, span, r)
-                words = candidates.ids[candidates.words]
                 for word in np.unique(words).tolist():
-                    starts = candidates.words[words == word]
-                    found = groups(norm.values, s, span, starts, words[words == word], candidates.raw[starts], r)
+                    own = words == word
+                    found = groups(norm.values, s, span, starts[own], words[own], raw[own], r)
                     engine = [tuple(group) for group in group_lists(found)]
-                    assert engine == pair_graph_components(pairs, starts.tolist()), (index, generation, word)
+                    assert engine == pair_graph_components(pairs, starts[own].tolist()), (index, span, word)
 
     def test_chain_joins_starts_that_are_not_within_r(self):
         # windows at 0 and 20 are each within r of the one at 10 but not of

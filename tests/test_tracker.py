@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from statistics import NormalDist
 
 import numpy as np
@@ -25,22 +26,9 @@ from motiftrack import (
     streamline,
     z_normalize,
 )
-from motiftrack.tracker import (
-    eliminate_unconfirmed,
-    eliminate_unmatched,
-    groups,
-    match_trackers,
-    proliferate_and_mutate,
-)
+from motiftrack.tracker import groups
 
-from conftest import (
-    candidates_at,
-    group_arrays,
-    group_lists,
-    letters_of,
-    motif_signature,
-    window_ids,
-)
+from conftest import group_arrays, group_lists, groups_calls, motif_signature, window_ids
 
 TABLE_MOTIFS = [
     (280, (386, 717)),
@@ -52,21 +40,6 @@ TABLE_MOTIFS = [
     (40, (619, 668, 950)),
     (40, (77, 120)),
 ]
-
-
-def texts(matrix, symbols: str) -> list[str]:
-    """The symbol text of each candidate word."""
-    span, s = matrix.point_span, matrix.symbol_length
-    return [symbols[i : i + span : s] for i in matrix.words]
-
-
-def assert_ids_name_texts(matrix, symbols: str) -> None:
-    """Two starts share a word id iff their words have one text."""
-    span, s = matrix.point_span, matrix.symbol_length
-    words = [symbols[i : i + span : s] for i in range(matrix.ids.size)]
-    assert matrix.ids.size == len(symbols) + s - span
-    pairs = set(zip(words, matrix.ids.tolist()))
-    assert len(pairs) == len(set(words)) == len(set(matrix.ids.tolist()))
 
 
 def letter_series(a: int) -> TimeSeries:
@@ -97,79 +70,6 @@ class TestInitTrackers:
         assert len(motifs) == 10
         assert sorted(mo.text for mo in motifs) == list(ALPHABET[:10])
         assert all(mo.point_length == 1 and len(mo.occurrences) == 2 for mo in motifs)
-
-
-class TestCandidateMatrix:
-    def test_tme_cap_resets(self):
-        # "aaab" with s=1: at most one consecutive elimination allowed
-        cm = candidates_at("aaab", 1, 1, tme=True)
-        assert list(zip(cm.words.tolist(), texts(cm, "aaab"))) == [(0, "a"), (2, "a"), (3, "b")]
-
-    def test_tme_keeps_alternation(self):
-        cm = candidates_at("abab", 2, 1, tme=True)
-        assert texts(cm, "abab") == ["a", "b", "a", "b"]
-
-    def test_no_tme_keeps_everything(self):
-        m = 6  # "aaaaa" at s=2
-        for g in (1, 2, 3):
-            cm = candidates_at("aaaaa", 2, g)
-            assert len(cm.words) == m - g * 2 + 1
-
-    def test_word_texts_use_stride_s(self):
-        cm = candidates_at("abcdef", 2, 2)  # m = 7
-        assert texts(cm, "abcdef") == ["ac", "bd", "ce", "df"]
-        assert_ids_name_texts(cm, "abcdef")
-        cm3 = candidates_at("abcdef", 2, 3)
-        assert texts(cm3, "abcdef") == ["ace", "bdf"]
-        assert_ids_name_texts(cm3, "abcdef")
-        # starts 0 and 4 read "ab" at stride 2, though their points differ
-        cm = candidates_at("axbyazb", 2, 2)
-        assert texts(cm, "axbyazb") == ["ab", "xy", "ba", "yz", "ab"]
-        assert_ids_name_texts(cm, "axbyazb")
-
-    def test_empty_when_no_word_constructible(self):
-        cm = candidates_at("ab", 3, 2)  # m=4 < 6
-        assert len(cm.words) == 0
-
-    def test_tme_invariant_fuzz(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            s = rng.randint(1, 5)
-            n = rng.randint(1, 60)
-            symbols = "".join(rng.choice("ab") for _ in range(n))
-            g = rng.randint(1, 3)
-            if g * s > n + s - 1:
-                continue  # no word of g symbols fits
-            cm = candidates_at(symbols, s, g, tme=True)
-            full = candidates_at(symbols, s, g)
-            assert_ids_name_texts(full, symbols)
-            starts = cm.words.tolist()
-            assert starts[0] == 0
-            by_start = dict(zip(full.words.tolist(), texts(full, symbols)))
-            kept = texts(cm, symbols)
-            for k, (prev, nxt) in enumerate(zip(starts, starts[1:])):
-                assert nxt - prev - 1 <= s
-                for eliminated in range(prev + 1, nxt):
-                    assert by_start[eliminated] == kept[k]
-
-
-class TestMatching:
-    def test_counts(self):
-        # the words at starts 0-2 are tracked; "c" at start 3 is not
-        cm = candidates_at("abac", 1, 1)
-        counts = match_trackers(cm, np.array([True, True, True, False]))
-        assert counts.tolist() == [2, 1, 0]
-
-    def test_two_symbol_words(self):
-        cm = candidates_at("aba", 1, 2)
-        assert texts(cm, "aba") == ["ab", "ba"]
-        assert match_trackers(cm, np.ones(2, dtype=bool)).tolist() == [1, 1]
-
-    def test_eliminate_unmatched(self):
-        assert eliminate_unmatched(np.array([3, 1, 2])).tolist() == [0, 2]
-
-    def test_eliminate_all(self):
-        assert eliminate_unmatched(np.array([1, 1])).tolist() == []
 
 
 def hand_groups(vals, s: int, span: int, starts, r: float) -> list[list[int]]:
@@ -214,12 +114,6 @@ class TestConfirm:
         vals[10:12] = [1.0, 1.0]
         vals[30:32] = [1.0, 1.05]
         assert hand_groups(vals, 2, 2, [10, 30], 0.1) == [[10, 30]]
-
-    def test_eliminate_unconfirmed(self):
-        # words 0 ("a") and 1 ("b"); only word 1 has a confirmed group
-        cm = candidates_at("aababab", 1, 1)
-        assert eliminate_unconfirmed(cm, group_arrays([[2, 4]])).tolist() == [False, True]
-        assert eliminate_unconfirmed(cm, group_arrays([])).tolist() == [False, False]
 
 
 class TestConfirmSharedRounds:
@@ -272,16 +166,16 @@ class TestConfirmSharedRounds:
             s = 1 + seed % 3
             series = TimeSeries(vals)
             norm_values = z_normalize(series).values
-            symbols = build_symbol_matrix(z_normalize(series), SaxConfig(s, 4)).symbols
-            for generation in (1, 2, 4):
-                cm = candidates_at(symbols, s, generation, tme, series.values)
-                starts, span = cm.words, cm.point_span
-                words, raw = cm.ids[starts], cm.raw[starts]
-                sizes_seen.update(np.unique(words, return_counts=True)[1].tolist())
-                for r in (0.3, 1.0, 2.5):
+            for r in (0.3, 1.0, 2.5):
+                # the matched starts of generations 1, 2 and 4 of a real run at r
+                for span, starts, words, raw in groups_calls(series, MtaConfig(SaxConfig(s, 4), r, tme)):
+                    if span // s not in (1, 2, 4):
+                        continue
+                    sizes_seen.update(np.unique(words, return_counts=True)[1].tolist())
                     found = group_lists(groups(norm_values, s, span, starts, words, raw, r))
-                    assert found == self.per_word(norm_values, s, span, starts, words, raw, r), (seed, generation, r)
-        assert {1, 2, 3} <= sizes_seen and max(sizes_seen) >= 50
+                    assert found == self.per_word(norm_values, s, span, starts, words, raw, r), (seed, span, r)
+        # a word reaches groups only with two matched starts
+        assert {2, 3} <= sizes_seen and max(sizes_seen) >= 50
 
 
 class TestThresholdBoundary:
@@ -365,28 +259,22 @@ class TestConfirmCost:
 
     @pytest.mark.parametrize("tme", [False, True])
     def test_distances_bounded_by_class_pairs(self, monkeypatch, tme):
-        rows = []
-        within, confirm = tracker_module._within, tracker_module.confirm_motifs
+        computed, within = Counter(), tracker_module._within
 
         def counting_within(windows, a, b, threshold):
-            rows[-1][0] += a.size
+            computed[windows.shape[1]] += a.size  # keyed by span: one generation's windows
             return within(windows, a, b, threshold)
 
-        def counting_confirm(matrix, counts, values, threshold):
-            starts = matrix.words[counts[matrix.ids[matrix.words]] >= 2]
-            pairs = sorted(set(zip(matrix.ids[starts].tolist(), matrix.raw[starts].tolist())))
-            classes = np.bincount([word for word, _ in pairs]) if pairs else np.zeros(0, dtype=np.int64)
-            rows.append([0, int((classes * (classes - 1) // 2).sum())])
-            return confirm(matrix, counts, values, threshold)
-
         monkeypatch.setattr(tracker_module, "_within", counting_within)
-        monkeypatch.setattr(tracker_module, "confirm_motifs", counting_confirm)
         for name, values in self.shapes():
-            rows.clear()
-            run_mta(TimeSeries(values), MtaConfig(SaxConfig(10, 10), 0.5, tme))
-            assert rows, name
-            for generation, (computed, class_pairs) in enumerate(rows, 1):
-                assert computed <= class_pairs, (name, generation, computed, class_pairs)
+            computed.clear()
+            calls = groups_calls(TimeSeries(values), MtaConfig(SaxConfig(10, 10), 0.5, tme))
+            assert calls, name
+            for span, _, words, raw in calls:
+                pairs = sorted(set(zip(words.tolist(), raw.tolist())))
+                classes = np.bincount([word for word, _ in pairs]) if pairs else np.zeros(0, dtype=np.int64)
+                class_pairs = int((classes * (classes - 1) // 2).sum())
+                assert computed[span] <= class_pairs, (name, span, computed[span], class_pairs)
 
 
 class TestMtaConfig:
@@ -397,32 +285,6 @@ class TestMtaConfig:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="match threshold must be a non-negative number"):
             MtaConfig(SaxConfig(2, 4), -0.5)
-
-
-# every word of three letters over "abc", at s=1
-DE_BRUIJN = "aaabaacabbabcacbaccbbbcbcccaa"
-
-
-def children(symbols: str, generation: int, parents, template: str) -> list[str]:
-    """The texts at the starts holding a tracker after proliferate_and_mutate."""
-    cm = candidates_at(symbols, 1, generation)
-    confirmed = np.zeros(int(cm.ids.max()) + 1, dtype=bool)
-    for text in parents:
-        confirmed[cm.ids[symbols.index(text)]] = True
-    letters = letters_of(symbols)
-    trackers = proliferate_and_mutate(cm, confirmed, np.isin(letters, letters_of(template)))
-    return sorted({symbols[i : i + generation + 1] for i in np.flatnonzero(trackers)})
-
-
-class TestProliferation:
-    def test_single_parent(self):
-        assert children(DE_BRUIJN, 1, ["a"], "ab") == ["aa", "ab"]
-
-    def test_cross_product(self):
-        assert children(DE_BRUIJN, 2, ["ab", "bb"], "ab") == ["aba", "abb", "bba", "bbb"]
-
-    def test_empty_survivors(self):
-        assert children(DE_BRUIJN, 2, [], "ab") == []
 
 
 class TestWithText:
@@ -660,35 +522,32 @@ class TestPoolPrune:
     M = 1500
 
     def run(self, monkeypatch, values, config):
-        pools, confirmed = [], []
-        streamline_, confirm = tracker_module.streamline, tracker_module.confirm_motifs
+        """The (pool size, motif count) of each streamline call, and the groups confirmation found."""
+        streamlined, streamline_ = [], tracker_module.streamline
 
         def counting_streamline(pool):
-            pools.append(len(pool))
             assert all(mo.text == "" for mo in pool)
-            return streamline_(pool)
-
-        def counting_confirm(*args):
-            found = confirm(*args)
-            confirmed.append(found[1].size - 1)
-            return found
+            out = streamline_(pool)
+            streamlined.append((len(pool), len(out)))
+            return out
 
         monkeypatch.setattr(tracker_module, "streamline", counting_streamline)
-        monkeypatch.setattr(tracker_module, "confirm_motifs", counting_confirm)
-        motifs = run_mta(TimeSeries(values), config)
-        return motifs, pools, sum(confirmed)
+        series = TimeSeries(values)
+        norm, s, r = z_normalize(series).values, config.sax.symbol_length, config.match_threshold
+        calls = groups_calls(series, config)
+        return streamlined, sum(groups(norm, s, span, *inputs, r)[1].size - 1 for span, *inputs in calls)
 
     def test_constant_data_pools_one_group(self, monkeypatch):
-        motifs, pools, confirmed = self.run(monkeypatch, np.full(self.M, 5.0), MtaConfig(SaxConfig(10, 10)))
-        assert pools == [1] and len(motifs) == 1
+        streamlined, confirmed = self.run(monkeypatch, np.full(self.M, 5.0), MtaConfig(SaxConfig(10, 10)))
+        assert streamlined == [(1, 1)]
         assert confirmed == self.M // 10 - 1  # one group per span below m; at m one start is left
 
     def test_period_37_with_tme_pools_fewer_than_confirmed(self, monkeypatch):
         period = np.random.default_rng(0).standard_normal(37)
         values = np.tile(period, self.M // 37 + 1)[: self.M]
-        motifs, pools, confirmed = self.run(monkeypatch, values, MtaConfig(SaxConfig(10, 10), 0.0, True))
-        assert len(pools) == 1 and len(motifs) <= pools[0] < confirmed
-        assert pools == [1449] and len(motifs) == 10  # the same pool as when every stored group had its text
+        streamlined, confirmed = self.run(monkeypatch, values, MtaConfig(SaxConfig(10, 10), 0.0, True))
+        # the same pool as when every stored group had its text
+        assert streamlined == [(1449, 10)] and 1449 < confirmed
 
 
 class TestRunMta:
