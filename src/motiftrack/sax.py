@@ -18,6 +18,7 @@ import numpy as np
 from .series import NormalizedSeries
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+_ALPHABET_CODES = np.frombuffer(ALPHABET.encode("ascii"), np.uint8)
 
 
 @dataclass(frozen=True)
@@ -92,5 +93,5 @@ def build_symbol_matrix(norm_series: NormalizedSeries, config: SaxConfig) -> Sym
     windows = np.lib.stride_tricks.sliding_window_view(values, s)
     means = windows.mean(axis=1)
     idx = np.searchsorted(cuts, means, side="right")
-    symbols = "".join(ALPHABET[int(k)] for k in idx)
+    symbols = _ALPHABET_CODES[idx].tobytes().decode("ascii")
     return SymbolMatrix(symbols, config, m)

@@ -95,9 +95,28 @@ def load_series_text(text: str, label: str | None = None) -> TimeSeries:
     integers or decimals.  A line that is not a number, or whose value is
     not finite, is reported with its 1-based line number.
     """
+    lines = text.splitlines()
+    try:
+        # the usual file: every line a bare number, parsed without a list of floats
+        arr = np.fromiter(map(float, lines), np.float64, count=len(lines))
+    except ValueError:
+        arr = _load_lines(lines)
+    if arr.size == 0:
+        raise ValueError("empty input")
+    if not np.isfinite(arr).all():
+        # only the error path pays a second pass, to find the line
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#") and not math.isfinite(float(line)):
+                raise ValueError(f"line {lineno}: not a finite number: {line!r}")
+    return TimeSeries(arr, label=label)
+
+
+def _load_lines(lines: list[str]) -> np.ndarray:
+    """Parse line by line, skipping blanks and comments and naming a bad line."""
     values: list[float] = []
     append = values.append
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         # most lines are bare numbers; float() strips the whitespace
         # str.strip() does except ASCII \x1c-\x1f, and no blank or '#' line
         # parses, so the rest are stripped and classified here
@@ -111,27 +130,23 @@ def load_series_text(text: str, label: str | None = None) -> TimeSeries:
                 append(float(line))
             except ValueError:
                 raise ValueError(f"line {lineno}: not a number: {line!r}") from None
-    if not values:
-        raise ValueError("empty input")
-    arr = np.array(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        # only the error path pays a second pass, to find the line
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if line and not line.startswith("#") and not math.isfinite(float(line)):
-                raise ValueError(f"line {lineno}: not a finite number: {line!r}")
-    return TimeSeries(arr, label=label)
+    return np.array(values, dtype=np.float64)
 
 
 def load_series_file(path) -> TimeSeries:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig skips a leading byte-order mark, as load_syscall_map does
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return load_series_text(fh.read(), label=str(path))
 
 
 def dump_series_text(values) -> str:
     """Render values in the series file format, integers without a decimal point."""
-    lines = [
-        str(int(f)) if f.is_integer() else repr(f)
-        for f in np.asarray(values, dtype=np.float64).tolist()
-    ]
-    return "\n".join(lines) + "\n"
+    arr = np.asarray(values, dtype=np.float64)
+    integral = np.isfinite(arr) & (arr == np.trunc(arr))
+    if integral.all() and (np.abs(arr) < 2.0**63).all():
+        # what ingest writes: one C-level format over int64s
+        return ("%d\n" * arr.size) % tuple(arr.astype(np.int64).tolist()) or "\n"
+    # %d prints an integral float as its integer; %r gives the shortest round-trip
+    # repr.  Each format is 3 bytes, so the S3 array's bytes are the whole template.
+    template = np.where(integral, b"%d\n", b"%r\n").tobytes().decode("ascii")
+    return template % tuple(arr.tolist())

@@ -11,6 +11,7 @@ from motiftrack import (
     TimeSeries,
     dump_series_text,
     euclidean_distance,
+    load_series_file,
     load_series_text,
     z_normalize,
 )
@@ -218,6 +219,11 @@ class TestSeriesFiles:
         with pytest.raises(ValueError, match="empty input"):
             load_series_text("# only a comment\n")
 
+    def test_file_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "series.txt"
+        path.write_bytes(b"\xef\xbb\xbf1\n2\n3\n")
+        assert list(load_series_file(path).values) == [1.0, 2.0, 3.0]
+
     def test_round_trip_integers(self):
         text = dump_series_text([5.0, 3.0, 6.0])
         assert text == "5\n3\n6\n"
@@ -270,7 +276,17 @@ class TestSeriesFiles:
         got = load_series_text(text).values
         assert got.tobytes() == (np.array(want) + 0.0).tobytes()
 
-    @pytest.mark.parametrize("values", [EDGE_FLOATS, [2.0**53 + 2 * k for k in range(50)], []])
+    @pytest.mark.parametrize("values", [
+        EDGE_FLOATS,
+        [2.0**53 + 2 * k for k in range(50)],
+        [],
+        # %d raises on inf, so only finite integral values may take it
+        [math.nan, math.inf, -math.inf, 1.0],
+        # the int64 edges: a cast to int64 that wraps misprints 2**63
+        [-(2.0**63), 2.0**63 - 1024, 2.0**63, 3.0],
+        # syscall ids as ingest writes them
+        [float(k * 37 % 400) for k in range(500)],
+    ])
     def test_dump_matches_reference_on_edges(self, values):
         assert dump_series_text(values) == reference_dump(values)
 
