@@ -68,7 +68,7 @@ def main():
     default=None,
     help=f"Bundled name-to-id table.  [default: {ingest_mod.DEFAULT_SYSCALL_TABLE}]",
 )
-@click.option("--tail", type=int, default=None, help="Keep only the last N values.")
+@click.option("--tail", type=click.IntRange(min=1), default=None, help="Keep only the last N values.")
 @click.option("--strict", is_flag=True, help="Fail on syscall names missing from the map.")
 @click.option("--output", "-o", required=True, type=click.Path(), help="Series file to write.")
 def cmd_ingest(trace_prefix, map_path, table, tail, strict, output):
@@ -77,8 +77,6 @@ def cmd_ingest(trace_prefix, map_path, table, tail, strict, output):
     The lowest PID is treated as the parent; remaining files are appended in
     ascending PID order.
     """
-    if tail is not None and tail < 1:
-        _fail("tail must be positive")
     if table is not None and map_path is not None:
         _fail("--syscall-table and --syscall-map are mutually exclusive")
     paths = []
@@ -144,14 +142,14 @@ def _config_or_fail(symbol_length, alphabet, threshold=0.0, tme=False, series=No
     ),
 )
 @click.option("--tme/--no-tme", default=False, show_default=True, help="Trivial-match elimination.")
-@click.option("--min-length", default=40, show_default=True, help="Report motifs at least this long.")
+@click.option(
+    "--min-length", type=click.IntRange(min=0), default=40, show_default=True, help="Report motifs at least this long."
+)
 @click.option("--output", "-o", type=click.Path(), default=None)
 def cmd_discover(series_path, symbol_length, alphabet, threshold, tme, min_length, output):
     """Run the tracking engine on a series file and print the motif report."""
     series = _load_series(series_path)
     config = _config_or_fail(symbol_length, alphabet, threshold, tme, series)
-    if min_length < 0:
-        _fail("min-length must be non-negative")
     motifs = run_mta(series, config)
     _emit(format_motif_report(motifs, min_length), output)
 
@@ -168,20 +166,16 @@ def cmd_discover(series_path, symbol_length, alphabet, threshold, tme, min_lengt
 )
 @click.option(
     "--min-separation",
-    type=int,
+    type=click.IntRange(min=1),
     default=None,
-    help="Minimum distance between kept occurrences [default: symbol length].",
+    help="Minimum distance between kept occurrences [default: symbol length]",
 )
-@click.option("--min-length", default=40, show_default=True)
+@click.option("--min-length", type=click.IntRange(min=0), default=40, show_default=True)
 @click.option("--output", "-o", type=click.Path(), default=None)
 def cmd_oracle(series_path, symbol_length, alphabet, min_separation, min_length, output):
     """Brute-force exact-repeat report, for diffing against discover."""
     series = _load_series(series_path)
     sax_config = _config_or_fail(symbol_length, alphabet, series=series).sax
-    if min_length < 0:
-        _fail("min-length must be non-negative")
-    if min_separation is not None and min_separation < 1:
-        _fail("min-separation must be positive")
     motifs = brute_force_exact_motifs(series, symbol_length, min_separation)
     # the search is symbol-free; render texts only so reports diff cleanly
     matrix = build_symbol_matrix(z_normalize(series), sax_config)
@@ -286,8 +280,14 @@ def format_sweep_table(rows) -> str:
     default="both",
     show_default=True,
 )
-@click.option("--min-length", default=40, show_default=True)
-@click.option("--jobs", default=1, show_default=True, help="Accepted for compatibility; cells run one after another.")
+@click.option("--min-length", type=click.IntRange(min=0), default=40, show_default=True)
+@click.option(
+    "--jobs",
+    type=click.IntRange(min=1),
+    default=1,
+    show_default=True,
+    help="Accepted for compatibility; cells run one after another.",
+)
 @click.option("--output", "-o", type=click.Path(), default=None)
 def cmd_sweep(series_path, symbol_lengths, alphabets, threshold, tme_mode, min_length, jobs, output):
     """Sensitivity sweep over symbol lengths, alphabets, and TME modes.
@@ -298,10 +298,6 @@ def cmd_sweep(series_path, symbol_lengths, alphabets, threshold, tme_mode, min_l
     for s in symbol_lengths:  # a cell fails only on the data, as with a series shorter than s
         for a in alphabets:
             _config_or_fail(s, a, threshold)
-    if min_length < 0:
-        _fail("min-length must be non-negative")
-    if jobs < 1:
-        _fail("jobs must be positive")
     tme_modes = {"on": (True,), "off": (False,), "both": (False, True)}[tme_mode]
     rows = sweep_rows(series, symbol_lengths, alphabets, threshold, tme_modes, min_length, jobs)
     _emit(format_sweep_table(rows), output)

@@ -117,19 +117,13 @@ def _load_lines(lines: list[str]) -> np.ndarray:
     values: list[float] = []
     append = values.append
     for lineno, raw in enumerate(lines, start=1):
-        # most lines are bare numbers; float() strips the whitespace
-        # str.strip() does except ASCII \x1c-\x1f, and no blank or '#' line
-        # parses, so the rest are stripped and classified here
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
         try:
-            append(float(raw))
+            append(float(line))
         except ValueError:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                append(float(line))
-            except ValueError:
-                raise ValueError(f"line {lineno}: not a number: {line!r}") from None
+            raise ValueError(f"line {lineno}: not a number: {line!r}") from None
     return np.array(values, dtype=np.float64)
 
 

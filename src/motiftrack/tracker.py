@@ -170,20 +170,20 @@ def match_trackers(matrix: CandidateMatrix, trackers: np.ndarray) -> np.ndarray:
 
 
 def eliminate_unmatched(counts: np.ndarray) -> np.ndarray:
-    """Keep trackers seen at least twice: the word ids with a count of two or more."""
+    """Keep trackers seen at least twice: the word ids with a count of two or more; the cycle ends at none."""
     return np.flatnonzero(counts >= 2)
 
 
 def confirm_motifs(
-    matrix: CandidateMatrix, counts: np.ndarray, values: np.ndarray, threshold: float
+    matrix: CandidateMatrix, trackers: np.ndarray, values: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Confirm the matched words' candidate starts against the data: groups over them.
+    """Confirm the candidate starts that hold a tracker against the data: groups over them.
 
-    counts is match_trackers' count per word id; the words counted twice or
-    more are the matched ones.
+    A word matched only once yields no group, as groups keeps groups of two
+    or more starts, so eliminate_unmatched's count is not applied again.
     """
     ids = matrix.ids
-    starts = matrix.words[counts[ids[matrix.words]] >= 2]
+    starts = matrix.words[trackers[matrix.words]]
     return groups(values, matrix.symbol_length, matrix.point_span, starts, ids[starts], matrix.raw[starts], threshold)
 
 
@@ -491,10 +491,9 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     span = held_span = s
     while span <= m:
         candidates = build_candidate_matrix(letters, blocks, candidates, s, config.tme_enabled)
-        counts = match_trackers(candidates, trackers)
-        if not eliminate_unmatched(counts).size:
+        if not eliminate_unmatched(match_trackers(candidates, trackers)).size:
             break
-        found = confirm_motifs(candidates, counts, norm.values, config.match_threshold)
+        found = confirm_motifs(candidates, trackers, norm.values, config.match_threshold)
         confirmed = eliminate_unconfirmed(candidates, found)
         pool += _memory(held_span, *held, ~_encapsulated(*held, *found, s))
         held, held_span = found, span

@@ -1,3 +1,4 @@
+import math
 import random
 from pathlib import Path
 
@@ -80,6 +81,35 @@ def two_block_series() -> TimeSeries:
 def motif_signature(motifs):
     """Text-free view of a motif set: (point_length, occurrences) in order."""
     return [(mo.point_length, mo.occurrences) for mo in motifs]
+
+
+# Table 1 of the paper: the eight motifs of the reference capture, (point length, starts)
+TABLE1_MOTIFS = [
+    (280, (386, 717)),
+    (80, (0, 227)),
+    (70, (8, 160, 235)),
+    (50, (198, 262)),
+    (50, (668, 950)),
+    (40, (39, 191, 266, 324)),
+    (40, (619, 668, 950)),
+    (40, (77, 120)),
+]
+
+
+def phi(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def phi_inv(p: float) -> float:
+    """Independent standard-normal quantile via bisection on math.erf."""
+    lo, hi = -10.0, 10.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if phi(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 CORPUS_SEED = 20260808

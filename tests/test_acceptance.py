@@ -6,7 +6,6 @@ dataset-reproduction gate is conditional: without a local copy of the
 reference capture it reports NOT-RUNNABLE and is skipped.
 """
 
-import math
 import os
 import random
 import shutil
@@ -38,22 +37,13 @@ from conftest import (
     DATA_DIR,
     PLANTED_SIGNATURE,
     PLANTED_SIGNATURE_S40,
+    TABLE1_MOTIFS,
     corpus_instances,
     motif_signature,
+    phi_inv,
 )
 
 REPORT_MIN_LENGTH = 40
-
-TABLE1_MOTIFS = [
-    (280, (386, 717)),
-    (80, (0, 227)),
-    (70, (8, 160, 235)),
-    (50, (198, 262)),
-    (50, (668, 950)),
-    (40, (39, 191, 266, 324)),
-    (40, (619, 668, 950)),
-    (40, (77, 120)),
-]
 
 # (symbol_length, tme) -> (motifs found, quality), counts at min length 40
 TABLE2 = {
@@ -237,21 +227,6 @@ class TestCriterion6:
                 assert (row.motif_count, row.quality) == expected, row
 
         gate()
-
-
-def phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def phi_inv(p: float) -> float:
-    lo, hi = -10.0, 10.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if phi(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
 
 
 class TestCriterion7:

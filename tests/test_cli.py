@@ -202,7 +202,7 @@ class TestIngest:
             main, ["ingest", str(prefix), "--tail", "0", "-o", str(tmp_path / "s.txt")]
         )
         assert result.exit_code == 2
-        assert "tail must be positive" in result.stderr
+        assert "Invalid value for '--tail'" in result.stderr
 
     def test_strict_names_unknown_call(self, runner, tmp_path):
         prefix = self.copy_traces(tmp_path)
@@ -424,8 +424,16 @@ BAD_OPTIONS = {
         "--jobs": POSITIVE,
     },
 }
+# the least value each option range accepts
+RANGE_BOUNDARIES = {
+    "ingest": ["--tail", "1"],
+    "discover": ["--min-length", "0"],
+    "oracle": ["--min-length", "0", "--min-separation", "1"],
+    "sweep": ["--min-length", "0", "--jobs", "1"],
+}
 BAD_SERIES = {"missing": None, "directory": None, "empty": "", "comments": "# a\n\n  # b\n",
-              "nan": "1\n2\nnan\n", "inf": "1\n-inf\n", "overflow": "1e999\n"}
+              "nan": "1\n2\nnan\n", "inf": "1\n-inf\n", "overflow": "1e999\n",
+              "garbage": "1\nwat\n", "non-utf8": b"1\n\xff\n"}
 
 
 @pytest.fixture(scope="module")
@@ -436,7 +444,9 @@ def error_inputs(tmp_path_factory):
     values[100:130] = values[10:40]
     (root / "series.txt").write_text("".join(f"{v}\n" for v in values.tolist()))
     for name, text in BAD_SERIES.items():
-        if text is not None:
+        if isinstance(text, bytes):
+            (root / f"{name}.txt").write_bytes(text)
+        elif text is not None:
             (root / f"{name}.txt").write_text(text)
     (root / "directory.txt").mkdir()
     (root / "trace.7").write_text('read(3, "x", 1) = 1\nwrite(1, "x", 1) = 1\n')
@@ -490,10 +500,15 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command", ["discover", "oracle", "sweep"])
     def test_valid_arguments_succeed(self, runner, error_inputs, command):
-        argv = [command, str(error_inputs / "series.txt"), "-s", "4", "-a", "4"]
+        argv = [command, str(error_inputs / "series.txt"), "-s", "4", "-a", "4", *RANGE_BOUNDARIES[command]]
         result = runner.invoke(main, argv + (["--tme-mode", "off"] if command == "sweep" else []))
         assert result.exit_code == 0, result.output
 
     def test_valid_trace_succeeds(self, runner, error_inputs):
         result = runner.invoke(main, ["ingest", str(error_inputs / "trace"), "-o", str(error_inputs / "ok.txt")])
         assert result.output == "parsed=2 skipped=0 dropped=0 emitted=2\n"
+
+    def test_tail_boundary_accepted(self, runner, error_inputs):
+        argv = ["ingest", str(error_inputs / "trace"), "-o", str(error_inputs / "tail.txt"), *RANGE_BOUNDARIES["ingest"]]
+        result = runner.invoke(main, argv)
+        assert result.output == "parsed=2 skipped=0 dropped=0 emitted=1\n"

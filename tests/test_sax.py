@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -16,21 +15,7 @@ from motiftrack import (
     z_normalize,
 )
 
-
-def phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def phi_inv(p: float) -> float:
-    """Independent standard-normal quantile via bisection on math.erf."""
-    lo, hi = -10.0, 10.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if phi(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+from conftest import phi, phi_inv
 
 
 def norm_series(values) -> NormalizedSeries:

@@ -28,18 +28,7 @@ from motiftrack import (
 )
 from motiftrack.tracker import groups
 
-from conftest import group_arrays, group_lists, groups_calls, motif_signature, window_ids
-
-TABLE_MOTIFS = [
-    (280, (386, 717)),
-    (80, (0, 227)),
-    (70, (8, 160, 235)),
-    (50, (198, 262)),
-    (50, (668, 950)),
-    (40, (39, 191, 266, 324)),
-    (40, (619, 668, 950)),
-    (40, (77, 120)),
-]
+from conftest import TABLE1_MOTIFS, group_arrays, group_lists, groups_calls, motif_signature, window_ids
 
 
 def letter_series(a: int) -> TimeSeries:
@@ -700,7 +689,7 @@ class TestTimeBudget:
 class TestQualityMeasure:
     def test_reference_table(self):
         motifs = MotifSet(
-            tuple(MemoryMotif("x" * (L // 10), L, occ) for L, occ in TABLE_MOTIFS)
+            tuple(MemoryMotif("x" * (L // 10), L, occ) for L, occ in TABLE1_MOTIFS)
         )
         assert quality_measure(motifs, 40) == 1490
 
