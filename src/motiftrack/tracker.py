@@ -14,11 +14,11 @@ the classes whose windows lie within r (Euclidean distance, z-normalized
 units), in one pass over one representative window per class, pairs whose
 mean or PAA lower bound exceeds r pruned before their distance is computed.
 A generation's groups are one array of starts plus group bounds.  Each is
-stored in the memory pool once the next generation is confirmed, unless a
-longer group encapsulates it: covered groups, which streamlining would drop,
-never enter the pool.  Only the stored groups become tuples, and the pool is
-finally streamlined into a canonical motif set; only the motifs that survive
-get their symbol text, cut once from the symbol matrix.
+stored in the memory pool once the next generation is confirmed, unless any
+next-generation group encapsulates it: covered groups, which streamlining
+would drop, never enter the pool.  Only the stored groups become tuples, and
+the pool is finally streamlined into a canonical motif set; only the motifs
+that survive get their symbol text, cut once from the symbol matrix.
 
 There is no randomness anywhere in the cycle: "mutation" enumerates the
 fixed template symbols, so identical inputs always produce identical output.
@@ -163,10 +163,9 @@ def build_candidate_matrix(
     return CandidateMatrix(ids, raw, starts, generation, s)
 
 
-def match_trackers(matrix: CandidateMatrix, trackers: np.ndarray) -> np.ndarray:
-    """Count each tracker's matches: the candidates at tracked starts per word id (np.bincount)."""
-    words = matrix.words[trackers[matrix.words]]
-    return np.bincount(matrix.ids[words], minlength=int(matrix.ids.max(initial=-1)) + 1)
+def match_trackers(matrix: CandidateMatrix, tracked: np.ndarray) -> np.ndarray:
+    """Count each tracker's matches: the tracked candidate starts per word id (np.bincount)."""
+    return np.bincount(matrix.ids[tracked], minlength=int(matrix.ids.max(initial=-1)) + 1)
 
 
 def eliminate_unmatched(counts: np.ndarray) -> np.ndarray:
@@ -175,16 +174,15 @@ def eliminate_unmatched(counts: np.ndarray) -> np.ndarray:
 
 
 def confirm_motifs(
-    matrix: CandidateMatrix, trackers: np.ndarray, values: np.ndarray, threshold: float
+    matrix: CandidateMatrix, tracked: np.ndarray, values: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Confirm the candidate starts that hold a tracker against the data: groups over them.
+    """Confirm the tracked candidate starts against the data: groups over them.
 
     A word matched only once yields no group, as groups keeps groups of two
     or more starts, so eliminate_unmatched's count is not applied again.
     """
-    ids = matrix.ids
-    starts = matrix.words[trackers[matrix.words]]
-    return groups(values, matrix.symbol_length, matrix.point_span, starts, ids[starts], matrix.raw[starts], threshold)
+    s, span = matrix.symbol_length, matrix.point_span
+    return groups(values, s, span, tracked, matrix.ids[tracked], matrix.raw[tracked], threshold)
 
 
 def groups(
@@ -368,27 +366,58 @@ def proliferate_and_mutate(matrix: CandidateMatrix, confirmed: np.ndarray, templ
 def _encapsulated(
     members: np.ndarray, bounds: np.ndarray, longer: np.ndarray, longer_bounds: np.ndarray, s: int
 ) -> np.ndarray:
-    """Which groups the next generation's groups encapsulate: a mask over the groups.
+    """Which groups any of the next generation's groups encapsulates: a mask over the groups.
 
-    Both generations are given as groups returns them.  A group G of span
-    points is tested against the group G' of span + s points that holds its
-    first member: G' encapsulates G when every member o of G has a member b
-    of G' with o - s <= b <= o, as [b, b + span + s) then holds [o, o + span).
-    One search over the keys (group, start) of the longer members, which
-    ascend, finds the latest b <= o in G' for every o at once: G' holds the
-    first member, so the search never lands before G'.
+    Both generations are given as groups returns them.  A group G' of span
+    + s points encapsulates a group G of span points when every member o of
+    G has a member b of G' with o - s <= b <= o, as [b, b + span + s) then
+    holds [o, o + span).  So a cover holds one of the s + 1 starts first -
+    s .. first, first being G's first member, and one of last - s .. last:
+    G's candidates are the groups holding those first starts that reach its
+    last member, nearest first.  Each pass tests every group still uncovered
+    against its nearest untried candidate, all its members at once; there
+    are at most s + 1 passes, and the first tests every group in place.  One
+    search over the keys (group, start) of the longer members, which
+    ascend, finds the latest b <= o in G' for every o: G' holds a start at
+    or before first, so the search never lands before G'.
     """
-    if not longer.size:
-        return np.zeros(bounds.size - 1, dtype=bool)
-    base = int(max(members.max(initial=0), longer.max())) + 1  # above every start
-    which = np.repeat(np.arange(longer_bounds.size - 1), np.diff(longer_bounds))
-    label = np.full(base, -1)
+    lo = bounds[:-1]
+    if not longer.size or not lo.size:
+        return np.zeros(lo.size, dtype=bool)
+    first, last, sizes = members[lo], members[bounds[1:] - 1], bounds[1:] - lo
+    count = longer_bounds.size - 1
+    # keys s + 1 apart from group to group, so the starts of no group,
+    # labelled count (those before 0 too, by wrapping), come within s of no key
+    base = int(max(last.max(), longer.max())) + s + 1
+    which = np.arange(count).repeat(longer_bounds[1:] - longer_bounds[:-1])
+    label = np.full(base, count)
     label[longer] = which
-    host = np.repeat(label[members[bounds[:-1]]], np.diff(bounds))  # each member's G', or -1
     keys = which * base + longer
-    at = np.searchsorted(keys, host * base + members, side="right") - 1
-    ok = (host >= 0) & (keys[at] >= host * base + members - s)
-    return np.logical_and.reduceat(ok, bounds[:-1])
+
+    def reach(host: np.ndarray, o: np.ndarray) -> np.ndarray:
+        """Whether each host[n] holds a start in [o[n] - s, o[n]]; host[n] is count or holds one at or before o[n]."""
+        key = host * base + o
+        at = keys.searchsorted(key, side="right") - 1
+        key -= s
+        return keys[at] >= key
+
+    host = label[first[:, None] - np.arange(s + 1)]  # by group and shift d = 0..s
+    untried = reach(host, last[:, None])  # the candidates
+    # pass 1, on the whole arrays: a group with no candidate tries the group
+    # of its first member, which cannot cover it
+    tried = host[np.arange(lo.size), untried.argmax(axis=1)]
+    untried &= host != tried[:, None]
+    covered = np.logical_and.reduceat(reach(tried.repeat(sizes), members), lo)
+    while True:
+        todo = (untried.any(axis=1) & ~covered).nonzero()[0]
+        if not todo.size:
+            return covered
+        tried = host[todo, untried[todo].argmax(axis=1)]
+        untried[todo] &= host[todo] != tried[:, None]
+        n = sizes[todo]
+        ends = n.cumsum()
+        o = members[(bounds[todo] - ends + n).repeat(n) + np.arange(ends[-1])]
+        covered[todo] = np.logical_and.reduceat(reach(tried.repeat(n), o), ends - n)
 
 
 def _memory(span: int, members: np.ndarray, bounds: np.ndarray, keep=None) -> list[MemoryMotif]:
@@ -475,7 +504,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     theirs from MotifSet.with_text.
 
     A generation's groups are stored once the next generation is confirmed,
-    except those a next-generation group encapsulates (_encapsulated):
+    except those any next-generation group encapsulates (_encapsulated):
     streamline would drop them, so covered groups never enter the pool.
     The last generation's groups are stored whole.
     """
@@ -491,9 +520,10 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     span = held_span = s
     while span <= m:
         candidates = build_candidate_matrix(letters, blocks, candidates, s, config.tme_enabled)
-        if not eliminate_unmatched(match_trackers(candidates, trackers)).size:
+        tracked = candidates.words[trackers[candidates.words]]  # the candidate starts holding a tracker
+        if not eliminate_unmatched(match_trackers(candidates, tracked)).size:
             break
-        found = confirm_motifs(candidates, trackers, norm.values, config.match_threshold)
+        found = confirm_motifs(candidates, tracked, norm.values, config.match_threshold)
         confirmed = eliminate_unconfirmed(candidates, found)
         pool += _memory(held_span, *held, ~_encapsulated(*held, *found, s))
         held, held_span = found, span

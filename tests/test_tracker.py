@@ -433,20 +433,14 @@ def disjoint_groups(rng: random.Random, n: int, count: int) -> list[list[int]]:
 
 
 class TestEncapsulatedGroups:
-    """_encapsulated drops a group exactly when the longer group holding its
-    first member encapsulates it, on plain (members, bounds) arrays."""
+    """_encapsulated drops a group exactly when some longer group
+    encapsulates it, on plain (members, bounds) arrays."""
 
     SPAN = 6
 
     def expected(self, shorter, longer, s: int) -> list[bool]:
-        out = []
-        for group in shorter:
-            host = [other for other in longer if group[0] in other]
-            out.append(
-                bool(host)
-                and encapsulates(MemoryMotif("", self.SPAN + s, tuple(host[0])), MemoryMotif("", self.SPAN, tuple(group)))
-            )
-        return out
+        bigs = [MemoryMotif("", self.SPAN + s, tuple(other)) for other in longer]
+        return [any(encapsulates(big, MemoryMotif("", self.SPAN, tuple(group))) for big in bigs) for group in shorter]
 
     def drops(self, shorter, longer, s: int) -> list[bool]:
         return tracker_module._encapsulated(*group_arrays(shorter), *group_arrays(longer), s).tolist()
@@ -461,11 +455,32 @@ class TestEncapsulatedGroups:
         assert self.drops([[5, 10]], [[5, 7]], 2) == [False]
         assert self.expected([[5, 10]], [[5, 7]], 2) == [False]
 
-    def test_only_the_group_of_the_first_member_is_tried(self):
-        # [[3, 9]] covers [[4, 9]], but 4 sits in the longer group [[4, 20]]
-        assert self.drops([[4, 9]], [[3, 9], [4, 20]], 1) == [False]
-        assert self.drops([[4, 9]], [[3, 9]], 1) == [False]
+    def test_any_longer_group_is_tried(self):
+        # [[3, 9]] covers [[4, 9]], though 4 sits in the longer group [[4, 20]]
+        assert self.drops([[4, 9]], [[3, 9], [4, 20]], 1) == [True]
+        assert self.drops([[4, 9]], [[3, 9]], 1) == [True]
         assert self.drops([[4, 9]], [[4, 9]], 1) == [True]
+        assert self.drops([[4, 9]], [[2, 9], [4, 20]], 1) == [False]
+
+    def test_later_candidate_covers_a_middle_member_the_nearest_misses(self):
+        # [10, 30] holds the first and last members but nothing in [18, 20]
+        assert self.drops([[10, 20, 30]], [[10, 30]], 2) == [False]
+        assert self.drops([[10, 20, 30]], [[9, 19, 29], [10, 30]], 2) == [True]
+        assert self.drops([[10, 20, 30]], [[8, 21, 28], [10, 30]], 2) == [False]
+
+    def test_candidate_reaching_first_but_not_last_member(self):
+        # [10, 17] holds the first member, but 17 < 20 - 2
+        assert self.drops([[10, 20]], [[10, 17]], 2) == [False]
+        assert self.drops([[10, 20]], [[9, 19], [10, 17]], 2) == [True]
+
+    def test_members_closer_than_s_to_zero(self):
+        # no longer group holds a start in [-3, 0]; the shifts below 0 must
+        # not wrap round to 31 and 30, where [[28, 31]] reaches 29 and the
+        # search for 0 in it would land on 30
+        assert self.drops([[0, 29]], [[2, 30], [28, 31]], 3) == [False]
+        assert self.expected([[0, 29]], [[2, 30], [28, 31]], 3) == [False]
+        assert self.drops([[0, 2]], [[0, 1]], 5) == [True]
+        assert self.drops([[1, 4]], [[3, 9]], 5) == [False]
 
     def test_member_before_every_longer_start(self):
         # the key search for 0 finds no longer start at or before it
@@ -481,12 +496,14 @@ class TestEncapsulatedGroups:
             rng = random.Random(seed)
             s, n = rng.randint(1, 4), rng.randint(4, 40)
             longer = disjoint_groups(rng, n, rng.randint(0, 5))
-            # some shorter groups are longer groups moved right by up to s + 1 points
+            # some shorter groups are longer groups moved right by up to s + 1
+            # points, after the first member or as a whole, so a cover can hold no member
             shorter = [
                 sorted({x + rng.randint(0, s + 1) if k else x for k, x in enumerate(group)})
                 for group in longer
                 if rng.random() < 0.6
             ]
+            shorter += [sorted({x + rng.randint(0, s) for x in group}) for group in longer if rng.random() < 0.3]
             taken = {x for group in shorter for x in group}
             shorter += [group for group in disjoint_groups(rng, n + s, 3) if not taken & set(group)]
             shorter = sorted(group for group in shorter if len(group) >= 2)
@@ -502,8 +519,10 @@ class TestEncapsulatedGroups:
 class TestPoolPrune:
     """Groups a next-generation group encapsulates never reach streamline.
 
-    Counting the pool that run_mta passes to streamline: on constant data
-    only the last generation's group is stored, and period 37 with TME
+    Counting the pool that run_mta passes to streamline against the
+    confirmed groups: each generation's groups that no group of the next
+    generation encapsulates, plus the last generation's whole.  On constant
+    data only the last generation's group is stored, and period 37 with TME
     stores fewer groups than confirmation finds.  Pooled motifs carry no
     text: only the streamlined ones get theirs.
     """
@@ -511,7 +530,7 @@ class TestPoolPrune:
     M = 1500
 
     def run(self, monkeypatch, values, config):
-        """The (pool size, motif count) of each streamline call, and the groups confirmation found."""
+        """Each streamline call's (pool size, motif count), the confirmed group count, and the pool they imply."""
         streamlined, streamline_ = [], tracker_module.streamline
 
         def counting_streamline(pool):
@@ -524,19 +543,25 @@ class TestPoolPrune:
         series = TimeSeries(values)
         norm, s, r = z_normalize(series).values, config.sax.symbol_length, config.match_threshold
         calls = groups_calls(series, config)
-        return streamlined, sum(groups(norm, s, span, *inputs, r)[1].size - 1 for span, *inputs in calls)
+        found = [(span, group_lists(groups(norm, s, span, *inputs, r))) for span, *inputs in calls]
+        pool = len(found[-1][1])
+        for (span, shorter), (_, longer) in zip(found, found[1:]):
+            bigs = [MemoryMotif("", span + s, tuple(group)) for group in longer]
+            for group in shorter:
+                pool += not any(encapsulates(big, MemoryMotif("", span, tuple(group))) for big in bigs)
+        return streamlined, sum(len(lists) for _, lists in found), pool
 
     def test_constant_data_pools_one_group(self, monkeypatch):
-        streamlined, confirmed = self.run(monkeypatch, np.full(self.M, 5.0), MtaConfig(SaxConfig(10, 10)))
-        assert streamlined == [(1, 1)]
+        streamlined, confirmed, pool = self.run(monkeypatch, np.full(self.M, 5.0), MtaConfig(SaxConfig(10, 10)))
+        assert streamlined == [(1, 1)] and pool == 1
         assert confirmed == self.M // 10 - 1  # one group per span below m; at m one start is left
 
     def test_period_37_with_tme_pools_fewer_than_confirmed(self, monkeypatch):
         period = np.random.default_rng(0).standard_normal(37)
         values = np.tile(period, self.M // 37 + 1)[: self.M]
-        streamlined, confirmed = self.run(monkeypatch, values, MtaConfig(SaxConfig(10, 10), 0.0, True))
-        # the same pool as when every stored group had its text
-        assert streamlined == [(1449, 10)] and 1449 < confirmed
+        streamlined, confirmed, pool = self.run(monkeypatch, values, MtaConfig(SaxConfig(10, 10), 0.0, True))
+        # the same motifs as when every stored group had its text
+        assert streamlined == [(pool, 10)] and pool < confirmed
 
 
 class TestRunMta:
@@ -630,17 +655,35 @@ class TestTimeBudget:
         out = run_mta(TimeSeries(values), MtaConfig(SaxConfig(s, a), r, tme))
         return out, time.perf_counter() - begin
 
-    def period_37(self):
+    def period_37(self, m=M):
         period = np.random.default_rng(0).standard_normal(37)
-        return np.tile(period, self.M // 37 + 1)[: self.M]
+        return np.tile(period, m // 37 + 1)[:m]
 
     def test_constant_series(self):
         out, seconds = self.timed(np.full(self.M, 5.0), False)
         assert seconds < 15
         assert len(out) == 1
 
-    def test_period_37_with_tme(self):
+    def test_period_37_with_tme(self, monkeypatch):
+        pools, streamline_ = [], tracker_module.streamline
+
+        def counting_streamline(pool):
+            pools.append(len(pool))
+            return streamline_(pool)
+
+        monkeypatch.setattr(tracker_module, "streamline", counting_streamline)
         out, seconds = self.timed(self.period_37(), True)
+        assert seconds < 15
+        assert len(out) == 10
+        assert pools[0] < 2000  # covered groups never reach the pool
+
+    def test_constant_series_m16080(self):
+        out, seconds = self.timed(np.full(2 * self.M, 5.0), False)
+        assert seconds < 15
+        assert len(out) == 1
+
+    def test_period_37_with_tme_m16080(self):
+        out, seconds = self.timed(self.period_37(2 * self.M), True)
         assert seconds < 15
         assert len(out) == 10
 
