@@ -4,15 +4,19 @@ The paper's Motif Tracking Algorithm grows string trackers one symbol per
 generation.  Here the cycle runs on integer classes (Karp-Miller-Rosenberg
 naming): at generation g each start holds a word id, equal for equal words of
 g symbols (g*s points), and a raw-window id, equal for equal raw values; each
-generation refines both by the next s-point block with one np.unique.  The
-trackers are a per-start mask: the word's (g-1)-symbol prefix was confirmed at
-g-1 and its last symbol at generation 1 (the mutation template).  Words seen at
-least twice among the candidates, thinned by trivial-match elimination, are
-confirmed against the data: each word's starts fall into raw classes, the
-oracle's exact repeats and at r = 0 the groups; at r > 0 single-linkage chains
-the classes whose windows lie within r (Euclidean distance, z-normalized
-units), in one pass over one representative window per class, pairs whose
-mean or PAA lower bound exceeds r pruned before their distance is computed.
+generation refines both by the next s-point block, naming the pairs with one
+argsort and a running count of the sorted run starts.  Every step of a
+generation calls numpy's C functions and array methods directly, not its
+Python-level wrappers, whose fixed cost dominates on the few hundred starts
+of a long periodic run.  The trackers are a per-start mask: the word's
+(g-1)-symbol prefix was confirmed at g-1 and its last symbol at generation 1
+(the mutation template).  Words seen at least twice among the candidates,
+thinned by trivial-match elimination, are confirmed against the data: each
+word's starts fall into raw classes, the oracle's exact repeats and at r = 0
+the groups; at r > 0 single-linkage chains the classes whose windows lie
+within r (Euclidean distance, z-normalized units), in one pass over one
+representative window per class, pairs whose mean or PAA lower bound exceeds
+r pruned before their distance is computed.
 A generation's groups are one array of starts plus group bounds.  Each is
 stored in the memory pool once the next generation is confirmed, unless any
 next-generation group encapsulates it: covered groups, which streamlining
@@ -63,7 +67,8 @@ class CandidateMatrix:
     """A generation's words, one per start i <= m - g*s.
 
     Equal ids[i] mean equal symbol words; equal raw[i] equal raw values
-    (hence equal words).  words holds the candidate starts, ascending.
+    (hence equal words).  words holds the candidate starts, ascending, and
+    every id lies in range(count).
     """
 
     ids: np.ndarray
@@ -71,6 +76,7 @@ class CandidateMatrix:
     words: np.ndarray
     generation: int
     symbol_length: int
+    count: int
 
     @property
     def point_span(self) -> int:
@@ -111,18 +117,37 @@ class MotifSet:
         return MotifSet(tuple(replace(mo, text=text(mo)) for mo in self.motifs))
 
 
-def _refine(ids: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Ids of the pairs (ids[i], nxt[i]), numbered in pair order; int64 keys below m**2."""
-    return np.unique(ids * (int(nxt.max(initial=0)) + 1) + nxt, return_inverse=True)[1]
+def _name(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ids of key's values, equal for equal values and numbered in ascending value order, and their number.
+
+    One argsort, then a running count of the sorted keys' run starts
+    scattered back: np.unique(key, return_inverse=True)[1] without its
+    Python wrapper.
+    """
+    order = key.argsort()
+    key = key[order]
+    fresh = np.empty(key.size, dtype=bool)
+    fresh[:1] = False
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    named = fresh.cumsum()
+    ids = np.empty(named.size, dtype=named.dtype)
+    ids[order] = named
+    return ids, int(named[-1]) + 1 if named.size else 0
+
+
+def _refine(ids: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ids of the pairs (ids[i], nxt[i]), numbered in pair order, and their number; int64 keys below m**2."""
+    return _name(ids * (int(np.maximum.reduce(nxt, initial=0)) + 1) + nxt)
 
 
 def _window_ids(values: np.ndarray, s: int) -> np.ndarray:
     """Ids of every s-point window, equal iff the raw values are (TimeSeries folds -0.0)."""
-    ids, width = np.unique(values, return_inverse=True)[1], 1
+    ids, _ = _name(values)
+    width = 1
     while width < s:
         # the windows at i and i + step cover the one at i of width + step points
         step = min(width, s - width)
-        ids = _refine(ids[:-step], ids[step:])
+        ids, _ = _refine(ids[:-step], ids[step:])
         width += step
     return ids
 
@@ -149,28 +174,30 @@ def build_candidate_matrix(
     s = symbol_length
     if previous is None:
         generation, ids, raw = 1, letters, blocks
+        count = int(np.maximum.reduce(letters, initial=-1)) + 1
     else:
         generation = previous.generation + 1
         n, at = max(previous.ids.size - s, 0), previous.point_span
-        ids = _refine(previous.ids[:n], letters[at : at + n])
-        raw = _refine(previous.raw[:n], blocks[at : at + n])
+        ids, count = _refine(previous.ids[:n], letters[at : at + n])
+        raw, _ = _refine(previous.raw[:n], blocks[at : at + n])
     starts = np.arange(ids.size)
     if tme_enabled:
-        fresh = np.ones(ids.size, dtype=bool)
-        fresh[1:] = ids[1:] != ids[:-1]
-        offset = starts - np.maximum.accumulate(np.where(fresh, starts, 0))
+        fresh = np.empty(ids.size, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(ids[1:], ids[:-1], out=fresh[1:])
+        offset = starts - np.maximum.accumulate(starts * fresh)
         starts = starts[offset % (s + 1) == 0]
-    return CandidateMatrix(ids, raw, starts, generation, s)
+    return CandidateMatrix(ids, raw, starts, generation, s, count)
 
 
 def match_trackers(matrix: CandidateMatrix, tracked: np.ndarray) -> np.ndarray:
     """Count each tracker's matches: the tracked candidate starts per word id (np.bincount)."""
-    return np.bincount(matrix.ids[tracked], minlength=int(matrix.ids.max(initial=-1)) + 1)
+    return np.bincount(matrix.ids[tracked], minlength=matrix.count)
 
 
 def eliminate_unmatched(counts: np.ndarray) -> np.ndarray:
     """Keep trackers seen at least twice: the word ids with a count of two or more; the cycle ends at none."""
-    return np.flatnonzero(counts >= 2)
+    return (counts >= 2).nonzero()[0]
 
 
 def confirm_motifs(
@@ -203,13 +230,16 @@ def groups(
     labels = raw if threshold <= 0 else _chain_labels(values, s, span, starts, words, raw, threshold)
     order = np.lexsort((starts, labels))
     labels, starts = labels[order], starts[order]
-    edges = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
-    kept = np.flatnonzero(np.diff(edges) >= 2)
-    kept = kept[np.argsort(starts[edges[kept]])]
+    edge = np.empty(labels.size + 1, dtype=bool)  # where a run of equal labels starts or ends
+    edge[0] = edge[-1] = True
+    np.not_equal(labels[1:], labels[:-1], out=edge[1:-1])
+    edges = edge.nonzero()[0]
+    kept = (edges[1:] - edges[:-1] >= 2).nonzero()[0]
+    kept = kept[starts[edges[kept]].argsort()]
     lo, sizes = edges[kept], edges[kept + 1] - edges[kept]
     bounds = np.zeros(kept.size + 1, dtype=np.intp)
-    np.cumsum(sizes, out=bounds[1:])
-    return starts[np.repeat(lo - bounds[:-1], sizes) + np.arange(bounds[-1])], bounds
+    sizes.cumsum(out=bounds[1:])
+    return starts[(lo - bounds[:-1]).repeat(sizes) + np.arange(bounds[-1])], bounds
 
 
 # pairs per block, in window elements: bounds each gather of windows at
@@ -255,14 +285,15 @@ def _chain_labels(
     """
     # one position per class, whichever member the scatter keeps
     at = np.arange(raw.size)
-    seen = np.empty(int(raw.max(initial=-1)) + 1, dtype=at.dtype)
+    seen = np.empty(int(np.maximum.reduce(raw, initial=-1)) + 1, dtype=at.dtype)
     seen[raw] = at
-    picked = np.flatnonzero(seen[raw] == at)
+    picked = (seen[raw] == at).nonzero()[0]
     tracker = words[picked]
-    by_word = np.sort(tracker)
-    if not (by_word[1:] == by_word[:-1]).any():  # no tracker has two classes
+    by_word = tracker.copy()
+    by_word.sort()
+    if not np.logical_or.reduce(by_word[1:] == by_word[:-1]):  # no tracker has two classes
         return raw
-    inverse = np.searchsorted(picked, seen[raw])  # each start's class
+    inverse = picked.searchsorted(seen[raw])  # each start's class
     values = np.ascontiguousarray(values, dtype=np.float64)
     step = values.strides[0]
     count, generation = values.size - span + 1, span // s
@@ -273,8 +304,8 @@ def _chain_labels(
     # the margin: the means err by a few eps times the largest |value| per
     # term summed, the sums of squares by eps per term, and the floor covers
     # underflow; limit inflates r by all of it, with a factor of 2 to spare
-    eps = sys.float_info.epsilon
-    slack = 4 * (span + 3) * math.sqrt(span) * (eps * float(np.abs(values).max()) + math.sqrt(sys.float_info.min))
+    eps, largest = sys.float_info.epsilon, float(np.maximum.reduce(np.abs(values)))
+    slack = 4 * (span + 3) * math.sqrt(span) * (eps * largest + math.sqrt(sys.float_info.min))
     limit = (threshold + slack) * (1 + 4 * (span + 3) * eps)
     # representatives by tracker, then whole-window mean (the mean of the block means)
     rep = starts[picked]
@@ -283,18 +314,19 @@ def _chain_labels(
     rep, tracker, mean = rep[order], tracker[order], mean[order]
     # row i pairs representative i with the later ones of its tracker whose
     # mean lies within the band: one search on (tracker, rank of the mean)
-    ranked = np.sort(mean)
-    key = tracker * (rep.size + 1) + np.searchsorted(ranked, mean)
-    top = tracker * (rep.size + 1) + np.searchsorted(ranked, mean + limit / math.sqrt(span), side="right")
-    stop = np.searchsorted(key, top)  # one past row i's last partner
-    ends = np.cumsum(stop - np.arange(1, rep.size + 1))  # pairs in rows 0..i
+    ranked = mean.copy()
+    ranked.sort()
+    key = tracker * (rep.size + 1) + ranked.searchsorted(mean)
+    top = tracker * (rep.size + 1) + ranked.searchsorted(mean + limit / math.sqrt(span), side="right")
+    stop = key.searchsorted(top)  # one past row i's last partner
+    ends = (stop - np.arange(1, rep.size + 1)).cumsum()  # pairs in rows 0..i
     shift = stop - ends  # pair p of row i pairs i with p + shift[i]
     total, block, cap = int(ends[-1]), max(1, _PAIR_BLOCK // span), limit * limit / s
     label, joined = np.arange(rep.size), False
     held_i, held_j, held = [], [], 0
     for lo in range(0, total, block):
         pair = np.arange(lo, min(lo + block, total))
-        i = np.searchsorted(ends, pair, side="right")
+        i = ends.searchsorted(pair, side="right")
         j = pair + shift[i]
         if joined:
             open_ = label[i] != label[j]
@@ -314,7 +346,7 @@ def _chain_labels(
         if held >= block or (held and lo + block >= total):
             label = _join(label, np.concatenate(held_i), np.concatenate(held_j))
             held_i, held_j, held, joined = [], [], 0, True
-    by_class = np.empty_like(label)
+    by_class = np.empty(label.size, dtype=label.dtype)
     by_class[order] = label
     return by_class[inverse]
 
@@ -330,7 +362,7 @@ def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     while True:
         x, y = label[a], label[b]
         cross = x != y
-        if not cross.any():
+        if not np.logical_or.reduce(cross):
             return label
         x, y = x[cross], y[cross]
         target = np.arange(label.size)
@@ -338,7 +370,7 @@ def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # every hook points at a smaller label, so the jumps end at roots
         while True:
             hop = target[target]
-            if np.array_equal(hop, target):
+            if np.logical_and.reduce(hop == target):
                 break
             target = hop
         label = target[label]
@@ -347,7 +379,7 @@ def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def eliminate_unconfirmed(matrix: CandidateMatrix, found: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Keep only trackers stimulated during confirmation: a mask of the word ids with a group."""
     members, bounds = found
-    confirmed = np.zeros(int(matrix.ids.max(initial=-1)) + 1, dtype=bool)
+    confirmed = np.zeros(matrix.count, dtype=bool)
     confirmed[matrix.ids[members[bounds[:-1]]]] = True
     return confirmed
 
@@ -388,9 +420,10 @@ def _encapsulated(
     count = longer_bounds.size - 1
     # keys s + 1 apart from group to group, so the starts of no group,
     # labelled count (those before 0 too, by wrapping), come within s of no key
-    base = int(max(last.max(), longer.max())) + s + 1
+    base = int(np.maximum(np.maximum.reduce(last), np.maximum.reduce(longer))) + s + 1
     which = np.arange(count).repeat(longer_bounds[1:] - longer_bounds[:-1])
-    label = np.full(base, count)
+    label = np.empty(base, dtype=which.dtype)
+    label.fill(count)
     label[longer] = which
     keys = which * base + longer
 
@@ -409,7 +442,7 @@ def _encapsulated(
     untried &= host != tried[:, None]
     covered = np.logical_and.reduceat(reach(tried.repeat(sizes), members), lo)
     while True:
-        todo = (untried.any(axis=1) & ~covered).nonzero()[0]
+        todo = (np.logical_or.reduce(untried, axis=1) & ~covered).nonzero()[0]
         if not todo.size:
             return covered
         tried = host[todo, untried[todo].argmax(axis=1)]
@@ -422,10 +455,10 @@ def _encapsulated(
 
 def _memory(span: int, members: np.ndarray, bounds: np.ndarray, keep=None) -> list[MemoryMotif]:
     """The memory motifs of the groups, or of those keep marks, with empty text (MotifSet.with_text cuts it)."""
-    sizes = np.diff(bounds)
+    sizes = bounds[1:] - bounds[:-1]
     if keep is not None:
-        members, sizes = members[np.repeat(keep, sizes)], sizes[keep]
-    flat, ends = members.tolist(), np.cumsum(sizes).tolist()
+        members, sizes = members[keep.repeat(sizes)], sizes[keep]
+    flat, ends = members.tolist(), sizes.cumsum().tolist()
     return [MemoryMotif("", span, tuple(flat[lo:hi])) for lo, hi in zip([0] + ends[:-1], ends)]
 
 

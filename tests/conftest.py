@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -168,3 +170,32 @@ def group_arrays(lists) -> tuple[np.ndarray, np.ndarray]:
     """The (members, bounds) pair of groups given as lists."""
     bounds = np.cumsum([0] + [len(group) for group in lists])
     return np.array([x for group in lists for x in group], dtype=np.intp), bounds
+
+
+def numpy_frames_per_generation(series: TimeSeries, config: MtaConfig) -> tuple[float, int]:
+    """The Python-level numpy frames one run_mta run enters per generation, and its generations.
+
+    Frames are the calls of functions written in numpy's Python source,
+    counted with sys.setprofile; numpy's C functions, ufuncs and array
+    methods enter none.  The run's one-time set-up counts too.  A generation
+    is one groups call, the confirmation each generation that matches a
+    word makes.
+    """
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    confirm = tracker_module.groups.__code__
+    frames = generations = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames, generations
+        if event == "call":
+            if frame.f_code is confirm:
+                generations += 1
+            elif frame.f_code.co_filename.startswith(numpy_dir):
+                frames += 1
+
+    sys.setprofile(profile)
+    try:
+        run_mta(series, config)
+    finally:
+        sys.setprofile(None)
+    return frames / max(generations, 1), generations

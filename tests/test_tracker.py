@@ -5,7 +5,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import motiftrack.tracker as tracker_module
@@ -28,7 +28,15 @@ from motiftrack import (
 )
 from motiftrack.tracker import groups
 
-from conftest import TABLE1_MOTIFS, group_arrays, group_lists, groups_calls, motif_signature, window_ids
+from conftest import (
+    TABLE1_MOTIFS,
+    group_arrays,
+    group_lists,
+    groups_calls,
+    motif_signature,
+    numpy_frames_per_generation,
+    window_ids,
+)
 
 
 def letter_series(a: int) -> TimeSeries:
@@ -66,6 +74,49 @@ def hand_groups(vals, s: int, span: int, starts, r: float) -> list[list[int]]:
     vals, starts = np.asarray(vals, dtype=float), np.asarray(starts, dtype=np.intp)
     words, raw = np.zeros(starts.size, dtype=np.int64), window_ids(vals, span)[starts]
     return group_lists(groups(vals, s, span, starts, words, raw, r))
+
+
+def first_seen(ids) -> list[int]:
+    """ids renumbered by first appearance, so two namings of one partition read alike."""
+    seen: dict = {}
+    return [seen.setdefault(i, len(seen)) for i in np.asarray(ids).tolist()]
+
+
+# ids of equal length, drawn from a few values so that pairs repeat
+id_pairs = st.integers(0, 60).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(0, 6), min_size=n, max_size=n)] * 2)
+)
+# zeros of both signs, subnormals, the least normal and values near the ends of the range
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300, -1e300])
+
+
+class TestNaming:
+    """The argsort naming gives np.unique's inverse ids, and their number."""
+
+    @settings(max_examples=300)
+    @given(id_pairs)
+    @example(([], []))
+    @example(([4], [2]))
+    @example(([3] * 9, [1] * 9))
+    @example((list(range(9)), list(range(9, 0, -1))))
+    @example(([0, 0, 1, 1, 2], [0, 1, 0, 1, 0]))
+    def test_refine_is_unique_inverse(self, pair):
+        ids, nxt = (np.array(x, dtype=np.int64) for x in pair)
+        key = ids * (nxt.max(initial=0) + 1) + nxt
+        named, count = tracker_module._refine(ids, nxt)
+        assert named.tolist() == np.unique(key, return_inverse=True)[1].tolist()
+        assert count == np.unique(key).size
+
+    @settings(max_examples=200)
+    @given(st.lists(edge_floats, min_size=1, max_size=40), st.integers(1, 8))
+    @example([0.0, -0.0, 0.0, -0.0], 2)
+    @example([5e-324, -5e-324, 0.0, 5e-324, -5e-324], 2)
+    @example([1e300, -1e300] * 5, 3)
+    @example([7.0], 1)
+    def test_window_ids_match_a_per_window_reference(self, values, s):
+        values = TimeSeries(np.array(values)).values  # folds -0.0 into 0.0
+        s = min(s, values.size)
+        assert first_seen(tracker_module._window_ids(values, s)) == window_ids(values, s).tolist()
 
 
 class TestConfirm:
@@ -727,6 +778,38 @@ class TestTimeBudget:
         out, seconds = self.timed(self.period_37(), False, r, a=26)
         assert seconds < 15
         assert len(out) == 10
+
+
+class TestNumpyFrameBudget:
+    """A generation calls numpy's C level: few Python-level numpy frames per generation.
+
+    Counted, not timed.  Through np.unique, np.r_, np.diff, np.flatnonzero
+    and the fromnumeric wrappers these two series entered about 75 and 84.
+    """
+
+    BUDGET = 30
+
+    def test_period_37_with_tme(self):
+        period = np.random.default_rng(0).standard_normal(37)
+        per_generation, generations = numpy_frames_per_generation(
+            TimeSeries(np.tile(period, 19)[:700]), MtaConfig(SaxConfig(10, 10), 0.0, True)
+        )
+        assert generations == 66
+        assert per_generation <= self.BUDGET
+
+    def test_syscall_like_exact(self):
+        # ids from 40 calls, with three behaviours of 47, 53 and 61 calls planted three times each
+        rng = np.random.default_rng(3)
+        calls = rng.integers(0, 40, 1000)
+        for n in (47, 53, 61):
+            block = rng.integers(0, 40, n)
+            for at in rng.choice(calls.size - n, 3, replace=False):
+                calls[at : at + n] = block
+        per_generation, generations = numpy_frames_per_generation(
+            TimeSeries(calls.astype(float)), MtaConfig(SaxConfig(10, 10), 0.0, False)
+        )
+        assert generations == 6
+        assert per_generation <= self.BUDGET
 
 
 class TestQualityMeasure:
