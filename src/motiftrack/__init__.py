@@ -27,7 +27,6 @@ from .oracle import (
 )
 from .sax import (
     ALPHABET,
-    Breakpoints,
     SaxConfig,
     SymbolMatrix,
     build_symbol_matrix,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHABET",
-    "Breakpoints",
     "MemoryMotif",
     "MotifSet",
     "MtaConfig",

@@ -5,7 +5,9 @@ each length-s window is bucketed against equiprobable Gaussian breakpoints
 and rendered as a single alphabet symbol.  The breakpoints are the a - 1
 quantiles of N(0,1) that SAX keeps as a fixed table, here computed by the
 standard library's statistics.NormalDist.  Multi-symbol words are assembled
-later by the tracker engine, so there is no frame-wise PAA step here.
+later by the tracker engine, so there is no frame-wise PAA step here.  This
+module alone spells letters: bucket i renders as ALPHABET[i], and
+SymbolMatrix.letters decodes the rendered symbols back to bucket indices.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .series import NormalizedSeries
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _ALPHABET_CODES = np.frombuffer(ALPHABET.encode("ascii"), np.uint8)
+_LETTER_INDEX = np.zeros(256, dtype=np.int64)  # ASCII code -> bucket index
+_LETTER_INDEX[_ALPHABET_CODES] = np.arange(len(ALPHABET))
 
 
 @dataclass(frozen=True)
@@ -37,24 +41,19 @@ class SaxConfig:
             raise ValueError("alphabet too large (symbols render as a-z)")
 
 
-@dataclass(frozen=True)
-class Breakpoints:
-    cuts: tuple[float, ...]
+def gaussian_breakpoints(alphabet_size: int) -> tuple[float, ...]:
+    """The a - 1 ascending cuts carving N(0,1) into alphabet_size equal-probability areas.
 
-
-def gaussian_breakpoints(alphabet_size: int) -> Breakpoints:
-    """Breakpoints carving N(0,1) into alphabet_size equal-probability areas.
-
-    cut[i] is the (i+1)/a quantile of the standard normal distribution, as
+    cuts[i] is the (i+1)/a quantile of the standard normal distribution, as
     statistics.NormalDist().inv_cdf gives it.
     """
     if alphabet_size < 2:
         raise ValueError("alphabet too small")
     gaussian = NormalDist()
-    return Breakpoints(tuple(gaussian.inv_cdf(i / alphabet_size) for i in range(1, alphabet_size)))
+    return tuple(gaussian.inv_cdf(i / alphabet_size) for i in range(1, alphabet_size))
 
 
-def window_symbol(window, cuts: Breakpoints) -> int:
+def window_symbol(window, cuts: tuple[float, ...]) -> int:
     """Bucket index of the window mean; bucket 0 is lowest.
 
     A mean sitting exactly on a cut goes to the higher bucket, so the index
@@ -62,7 +61,7 @@ def window_symbol(window, cuts: Breakpoints) -> int:
     integer-valued data lands exactly on breakpoints after normalization.
     """
     mean = float(np.mean(np.asarray(window, dtype=np.float64)))
-    return int(np.searchsorted(cuts.cuts, mean, side="right"))
+    return int(np.searchsorted(cuts, mean, side="right"))
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,11 @@ class SymbolMatrix:
 
     symbols: str
     config: SaxConfig
-    series_length: int
 
-    def __len__(self) -> int:
-        return len(self.symbols)
+    @property
+    def letters(self) -> np.ndarray:
+        """Each symbol's bucket index, as window_symbol gives it."""
+        return _LETTER_INDEX[np.frombuffer(self.symbols.encode("ascii"), np.uint8)]
 
 
 def build_symbol_matrix(norm_series: NormalizedSeries, config: SaxConfig) -> SymbolMatrix:
@@ -89,9 +89,9 @@ def build_symbol_matrix(norm_series: NormalizedSeries, config: SaxConfig) -> Sym
     m = len(values)
     if m < s:
         raise ValueError("series shorter than symbol length")
-    cuts = np.asarray(gaussian_breakpoints(config.alphabet_size).cuts)
+    cuts = np.asarray(gaussian_breakpoints(config.alphabet_size))
     windows = np.lib.stride_tricks.sliding_window_view(values, s)
     means = windows.mean(axis=1)
     idx = np.searchsorted(cuts, means, side="right")
     symbols = _ALPHABET_CODES[idx].tobytes().decode("ascii")
-    return SymbolMatrix(symbols, config, m)
+    return SymbolMatrix(symbols, config)

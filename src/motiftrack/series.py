@@ -13,7 +13,6 @@ class TimeSeries:
     """An ordered sequence of finite real (or integer-valued) observations."""
 
     values: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -40,9 +39,6 @@ class NormalizedSeries:
     values: np.ndarray
     mean_used: float
     std_used: float
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 def z_normalize(series: TimeSeries) -> NormalizedSeries:
@@ -88,7 +84,7 @@ def euclidean_distance(x, y) -> float:
     return float(np.sqrt(np.sum((x - y) ** 2)))
 
 
-def load_series_text(text: str, label: str | None = None) -> TimeSeries:
+def load_series_text(text: str) -> TimeSeries:
     """Parse the one-number-per-line series format.
 
     Blank lines and lines starting with '#' are ignored.  Values may be
@@ -109,7 +105,7 @@ def load_series_text(text: str, label: str | None = None) -> TimeSeries:
             line = raw.strip()
             if line and not line.startswith("#") and not math.isfinite(float(line)):
                 raise ValueError(f"line {lineno}: not a finite number: {line!r}")
-    return TimeSeries(arr, label=label)
+    return TimeSeries(arr)
 
 
 def _load_lines(lines: list[str]) -> np.ndarray:
@@ -130,7 +126,7 @@ def _load_lines(lines: list[str]) -> np.ndarray:
 def load_series_file(path) -> TimeSeries:
     # utf-8-sig skips a leading byte-order mark, as load_syscall_map does
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return load_series_text(fh.read(), label=str(path))
+        return load_series_text(fh.read())
 
 
 def dump_series_text(values) -> str:

@@ -5,7 +5,8 @@ generation.  Here the cycle runs on integer classes (Karp-Miller-Rosenberg
 naming): at generation g each start holds a word id, equal for equal words of
 g symbols (g*s points), and a raw-window id, equal for equal raw values; each
 generation refines both by the next s-point block, naming the pairs with one
-argsort and a running count of the sorted run starts.  Every step of a
+argsort and a running count of the sorted run starts.  Generation 1's word
+ids are SymbolMatrix.letters, the SAX bucket indices.  Every step of a
 generation calls numpy's C functions and array methods directly, not its
 Python-level wrappers, whose fixed cost dominates on the few hundred starts
 of a long periodic run.  The trackers are a per-start mask: the word's
@@ -544,7 +545,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     s, m = config.sax.symbol_length, len(series)
     norm = z_normalize(series)
     matrix = build_symbol_matrix(norm, config.sax)
-    letters = np.frombuffer(matrix.symbols.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("a")
+    letters = matrix.letters
     blocks = _window_ids(series.values, s)
     trackers = np.ones(letters.size, dtype=bool)
     candidates = template = None

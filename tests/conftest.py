@@ -56,7 +56,7 @@ PLANTED_SIGNATURE_S40 = [
 
 @pytest.fixture(scope="session")
 def planted_series() -> TimeSeries:
-    return TimeSeries(planted_fixture_values(), label="planted-60-40-40")
+    return TimeSeries(planted_fixture_values())
 
 
 @pytest.fixture(scope="session")

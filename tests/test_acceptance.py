@@ -209,7 +209,7 @@ class TestCriterion6:
         def gate():
             full = load_series_file(path)
             assert len(full) == 8040
-            series = TimeSeries(full.values[-1000:], label="tail-1000")
+            series = TimeSeries(full.values[-1000:])
             out = run_mta(series, MtaConfig(SaxConfig(10, 10), 0.0, False))
             reported = [
                 (mo.point_length, mo.occurrences)
@@ -234,7 +234,7 @@ class TestCriterion7:
         @checked(7, "breakpoint accuracy and symbol-matrix properties")
         def gate():
             for a in range(2, 11):
-                cuts = gaussian_breakpoints(a).cuts
+                cuts = gaussian_breakpoints(a)
                 assert len(cuts) == a - 1
                 for i, cut in enumerate(cuts):
                     assert abs(cut - phi_inv((i + 1) / a)) < 1e-9

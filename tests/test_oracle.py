@@ -54,6 +54,10 @@ class TestExactMotifs:
         with pytest.raises(ValueError, match="series shorter than symbol length"):
             brute_force_exact_motifs(TimeSeries(np.array([1.0])), 2)
 
+    def test_symbol_length_must_be_positive(self):
+        with pytest.raises(ValueError, match="symbol length must be positive"):
+            brute_force_exact_motifs(TimeSeries(np.array([1.0, 2.0])), 0)
+
 
 # magnitudes from subnormal to near the float maximum, plus values that only
 # differ far below the spread of a series holding them (0 vs 1e-200 beside
@@ -168,6 +172,10 @@ class TestThresholdPairs:
     def test_window_longer_than_series(self):
         with pytest.raises(ValueError, match="window longer than series"):
             brute_force_threshold_pairs(TimeSeries(np.array([1.0, 2.0])), 3, 0.0)
+
+    def test_window_must_be_positive(self):
+        with pytest.raises(ValueError, match="window must be positive"):
+            brute_force_threshold_pairs(TimeSeries(np.array([1.0, 2.0])), 0, 0.5)
 
     def test_distances_are_symmetric_euclidean(self):
         series = TimeSeries(np.array([0.0, 1.0, 0.0, 1.0, 0.0, 2.0]))
@@ -383,3 +391,7 @@ class TestReferenceMotifs:
             reference = reference_motifs(series, MtaConfig(SaxConfig(s, a)))
             oracle = brute_force_exact_motifs(series, s, 1)
             assert motif_signature(reference) == motif_signature(oracle), f"instance {index}"
+
+    def test_too_short(self):
+        with pytest.raises(ValueError, match="series shorter than symbol length"):
+            reference_motifs(TimeSeries(np.array([1.0, 2.0])), MtaConfig(SaxConfig(3, 2)))

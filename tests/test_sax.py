@@ -35,14 +35,14 @@ class TestSaxConfig:
 
 class TestBreakpoints:
     def test_two_letters(self):
-        assert gaussian_breakpoints(2).cuts == (0.0,)
+        assert gaussian_breakpoints(2) == (0.0,)
 
     def test_four_letters(self):
-        cuts = gaussian_breakpoints(4).cuts
+        cuts = gaussian_breakpoints(4)
         assert cuts == pytest.approx((-0.674490, 0.0, 0.674490), abs=1e-6)
 
     def test_three_letters(self):
-        cuts = gaussian_breakpoints(3).cuts
+        cuts = gaussian_breakpoints(3)
         assert cuts == pytest.approx((-0.430727, 0.430727), abs=1e-6)
 
     def test_too_small(self):
@@ -51,20 +51,20 @@ class TestBreakpoints:
 
     @pytest.mark.parametrize("a", range(2, 13))
     def test_matches_independent_quantiles(self, a):
-        cuts = gaussian_breakpoints(a).cuts
+        cuts = gaussian_breakpoints(a)
         for i, cut in enumerate(cuts):
             assert abs(cut - phi_inv((i + 1) / a)) < 1e-9
 
     @pytest.mark.parametrize("a", range(2, 13))
     def test_symmetric_and_increasing(self, a):
-        cuts = gaussian_breakpoints(a).cuts
+        cuts = gaussian_breakpoints(a)
         assert all(x < y for x, y in zip(cuts, cuts[1:]))
         for i, cut in enumerate(cuts):
             assert abs(cut + cuts[a - 2 - i]) < 1e-9
 
     @pytest.mark.parametrize("a", range(2, 13))
     def test_equal_areas(self, a):
-        cuts = gaussian_breakpoints(a).cuts
+        cuts = gaussian_breakpoints(a)
         probs = [phi(cuts[0])]
         probs += [phi(hi) - phi(lo) for lo, hi in zip(cuts, cuts[1:])]
         probs.append(1.0 - phi(cuts[-1]))
@@ -146,3 +146,4 @@ class TestSymbolMatrix:
             for i in range(m - s + 1):
                 expected = window_symbol(norm.values[i : i + s], cuts)
                 assert matrix.symbols[i] == chr(ord("a") + expected)
+                assert matrix.letters[i] == expected

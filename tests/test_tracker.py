@@ -328,7 +328,7 @@ class TestMtaConfig:
 
 
 class TestWithText:
-    MATRIX = SymbolMatrix("abcdefghij", SaxConfig(2, 10), 11)
+    MATRIX = SymbolMatrix("abcdefghij", SaxConfig(2, 10))
 
     def test_every_s_th_symbol_from_first_start(self):
         motifs = MotifSet((MemoryMotif("", 6, (1, 4)), MemoryMotif("old", 2, (0, 8))))
@@ -830,6 +830,10 @@ class TestQualityMeasure:
         motifs = MotifSet((MemoryMotif("abcd", 40, (0, 100)),))
         assert quality_measure(motifs, 40) == 80
         assert quality_measure(motifs, 41) == 0
+
+    def test_negative_min_length_rejected(self):
+        with pytest.raises(ValueError, match="min_length must be non-negative"):
+            quality_measure(MotifSet(()), -1)
 
 
 class TestReport:
