@@ -34,7 +34,6 @@ from .sax import (
     window_symbol,
 )
 from .series import (
-    NormalizedSeries,
     TimeSeries,
     dump_series_text,
     euclidean_distance,
@@ -60,7 +59,6 @@ __all__ = [
     "MemoryMotif",
     "MotifSet",
     "MtaConfig",
-    "NormalizedSeries",
     "PidTrace",
     "SaxConfig",
     "SymbolMatrix",

@@ -184,6 +184,4 @@ def encode_series(
             pos = int(np.argmax(unknown))
             raise ValueError(f"unknown syscall {calls[pos]!r} at position {pos}")
         ids = ids[~unknown]
-    if ids.size == 0:
-        raise ValueError("empty input")
     return TimeSeries(ids), dropped

@@ -89,7 +89,7 @@ def brute_force_threshold_pairs(
         raise ValueError("window must be positive")
     if window > m:
         raise ValueError("window longer than series")
-    norm = z_normalize(series).values
+    norm = z_normalize(series)
     views = np.lib.stride_tricks.sliding_window_view(norm, window)
     n = views.shape[0]
     out: list[tuple[int, int, float]] = []
@@ -116,7 +116,7 @@ def reference_motifs(series: TimeSeries, config: MtaConfig) -> MotifSet:
     s, r, m = config.sax.symbol_length, config.match_threshold, len(series)
     if m < s:
         raise ValueError("series shorter than symbol length")
-    raw, norm = series.values, z_normalize(series).values
+    raw, norm = series.values, z_normalize(series)
     cuts = gaussian_breakpoints(config.sax.alphabet_size)
     symbols = "".join(ALPHABET[window_symbol(norm[i : i + s], cuts)] for i in range(m - s + 1))
     pool: list[MemoryMotif] = []

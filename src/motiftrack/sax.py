@@ -5,9 +5,9 @@ each length-s window is bucketed against equiprobable Gaussian breakpoints
 and rendered as a single alphabet symbol.  The breakpoints are the a - 1
 quantiles of N(0,1) that SAX keeps as a fixed table, here computed by the
 standard library's statistics.NormalDist.  Multi-symbol words are assembled
-later by the tracker engine, so there is no frame-wise PAA step here.  This
-module alone spells letters: bucket i renders as ALPHABET[i], and
-SymbolMatrix.letters decodes the rendered symbols back to bucket indices.
+later by the tracker engine, so there is no frame-wise PAA step here.
+SymbolMatrix holds the bucket indices as letters; this module alone spells
+them, bucket i as ALPHABET[i].
 """
 
 from __future__ import annotations
@@ -17,12 +17,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .series import NormalizedSeries
-
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _ALPHABET_CODES = np.frombuffer(ALPHABET.encode("ascii"), np.uint8)
-_LETTER_INDEX = np.zeros(256, dtype=np.int64)  # ASCII code -> bucket index
-_LETTER_INDEX[_ALPHABET_CODES] = np.arange(len(ALPHABET))
 
 
 @dataclass(frozen=True)
@@ -64,34 +60,32 @@ def window_symbol(window, cuts: tuple[float, ...]) -> int:
     return int(np.searchsorted(cuts, mean, side="right"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolMatrix:
-    """One symbol per sliding window; symbols[i] encodes the window at point i."""
+    """One symbol per sliding window; letters[i] is the bucket index of the window at point i."""
 
-    symbols: str
+    letters: np.ndarray
     config: SaxConfig
 
     @property
-    def letters(self) -> np.ndarray:
-        """Each symbol's bucket index, as window_symbol gives it."""
-        return _LETTER_INDEX[np.frombuffer(self.symbols.encode("ascii"), np.uint8)]
+    def symbols(self) -> str:
+        """The letters spelled in ALPHABET, one character per window."""
+        return _ALPHABET_CODES[self.letters].tobytes().decode("ascii")
 
 
-def build_symbol_matrix(norm_series: NormalizedSeries, config: SaxConfig) -> SymbolMatrix:
-    """Symbolize every length-s sliding window of a normalized series.
+def build_symbol_matrix(values: np.ndarray, config: SaxConfig) -> SymbolMatrix:
+    """Symbolize every length-s sliding window of the normalized values.
 
-    Produces exactly m - s + 1 symbols.  Window means are computed per
-    window (not via running sums) so that element-wise equal windows always
-    produce bit-identical means and therefore identical symbols.
+    Produces exactly m - s + 1 letters, read-only.  Window means are
+    computed per window (not via running sums) so that element-wise equal
+    windows always produce bit-identical means and therefore identical
+    letters.
     """
     s = config.symbol_length
-    values = norm_series.values
-    m = len(values)
-    if m < s:
+    if len(values) < s:
         raise ValueError("series shorter than symbol length")
     cuts = np.asarray(gaussian_breakpoints(config.alphabet_size))
-    windows = np.lib.stride_tricks.sliding_window_view(values, s)
-    means = windows.mean(axis=1)
-    idx = np.searchsorted(cuts, means, side="right")
-    symbols = _ALPHABET_CODES[idx].tobytes().decode("ascii")
-    return SymbolMatrix(symbols, config)
+    means = np.lib.stride_tricks.sliding_window_view(values, s).mean(axis=1)
+    letters = np.searchsorted(cuts, means, side="right")
+    letters.flags.writeable = False
+    return SymbolMatrix(letters, config)

@@ -1,4 +1,9 @@
-"""Time-series container, normalization, and the Euclidean distance primitive."""
+"""Time-series container, z-normalization, the Euclidean distance primitive and series files.
+
+TimeSeries holds the input rules: at least one value ("empty input"), every
+value finite (load_series_text first names the line of a non-finite one).
+z_normalize returns the normalized values as a read-only array.
+"""
 
 from __future__ import annotations
 
@@ -28,51 +33,30 @@ class TimeSeries:
         return int(self.values.size)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizedSeries:
-    """A z-normalized series plus the statistics that produced it.
-
-    std_used is 0 for a constant series, and also when a non-constant
-    spread is subnormal: [0, 5e-324] normalizes to [-1, 1] with std_used 0.
-    """
-
-    values: np.ndarray
-    mean_used: float
-    std_used: float
-
-
-def z_normalize(series: TimeSeries) -> NormalizedSeries:
-    """Globally z-normalize a series.
+def z_normalize(series: TimeSeries) -> np.ndarray:
+    """Globally z-normalize a series; returns the read-only normalized values.
 
     Uses the population standard deviation (divide by m, not m-1).  A
-    constant series maps to all zeros and reports std_used = 0 rather than
-    erroring; a constant run is valid input and yields a single repeated
-    symbol downstream.  std_used is also 0 when a non-constant spread is
-    subnormal ([0, 5e-324] maps to [-1, 1]): the scaled-back std underflows.
+    constant series maps to all zeros rather than erroring; a constant run
+    is valid input and yields a single repeated symbol downstream.
 
     The statistics are computed on the series divided by 2**k, with
-    2**k <= max |x| < 2**(k+1), and scaled back.  Division by a power of two
-    is exact, so wherever no intermediate value is subnormal this gives the
-    same bits as computing on the raw values; it also keeps the mean, std
-    and values finite for every finite series, including magnitudes near
-    1e308 (whose squares overflow) and tiny spreads (whose squares
-    underflow).
+    2**k <= max |x| < 2**(k+1).  Division by a power of two is exact, so
+    wherever no intermediate value is subnormal this gives the same bits as
+    computing on the raw values; it also keeps the values finite for every
+    finite series, including magnitudes near 1e308 (whose squares overflow)
+    and tiny spreads (whose squares underflow).
     """
     arr = series.values
     if arr.min() == arr.max():
         out = np.zeros_like(arr)
-        mean, std = float(arr[0]), 0.0
     else:
         _, exponent = np.frexp(np.abs(arr).max())
-        scale = math.ldexp(1.0, int(exponent) - 1)
-        unit = arr / scale
-        unit_mean = float(unit.mean())
-        unit_std = float(unit.std())
-        # |unit| reaches 1 and the series is not constant, so unit_std is well above 0
-        out = (unit - unit_mean) / unit_std
-        mean, std = unit_mean * scale, unit_std * scale
+        unit = arr / math.ldexp(1.0, int(exponent) - 1)
+        # |unit| reaches 1 and the series is not constant, so its std is well above 0
+        out = (unit - float(unit.mean())) / float(unit.std())
     out.flags.writeable = False
-    return NormalizedSeries(out, mean, std)
+    return out
 
 
 def euclidean_distance(x, y) -> float:
@@ -97,8 +81,6 @@ def load_series_text(text: str) -> TimeSeries:
         arr = np.fromiter(map(float, lines), np.float64, count=len(lines))
     except ValueError:
         arr = _load_lines(lines)
-    if arr.size == 0:
-        raise ValueError("empty input")
     if not np.isfinite(arr).all():
         # only the error path pays a second pass, to find the line
         for lineno, raw in enumerate(lines, start=1):

@@ -557,7 +557,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
         tracked = candidates.words[trackers[candidates.words]]  # the candidate starts holding a tracker
         if not eliminate_unmatched(match_trackers(candidates, tracked)).size:
             break
-        found = confirm_motifs(candidates, tracked, norm.values, config.match_threshold)
+        found = confirm_motifs(candidates, tracked, norm, config.match_threshold)
         confirmed = eliminate_unconfirmed(candidates, found)
         pool += _memory(held_span, *held, ~_encapsulated(*held, *found, s))
         held, held_span = found, span

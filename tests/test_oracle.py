@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from motiftrack import (
 )
 from motiftrack.tracker import groups
 
+import conftest
 from conftest import corpus_instances, group_lists, groups_calls, motif_signature, window_ids
 
 
@@ -118,6 +121,18 @@ class TestEngineAgreement:
         engine = run_mta(planted_series, MtaConfig(SaxConfig(20, 10)))
         oracle = brute_force_exact_motifs(planted_series, 20, 1)
         assert motif_signature(engine) == motif_signature(oracle)
+
+    def test_readme_library_example(self):
+        # the README's Library block, run as written on the planted fixture
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+        placeholder = "np.array([...], dtype=float)"
+        assert placeholder in block
+        scope = {"conftest": conftest}
+        exec(block.replace(placeholder, "conftest.planted_fixture_values()"), scope)
+        assert len(scope["motifs"]) == 3
+        assert scope["reference"] == scope["motifs"]
+        assert scope["same"] == scope["motifs"]
 
 
 class TestMaximalRepeats:
@@ -252,7 +267,7 @@ class TestThresholdGroupsReference:
                 pairs = brute_force_threshold_pairs(series, span, r)
                 for word in np.unique(words).tolist():
                     own = words == word
-                    found = groups(norm.values, s, span, starts[own], words[own], raw[own], r)
+                    found = groups(norm, s, span, starts[own], words[own], raw[own], r)
                     engine = [tuple(group) for group in group_lists(found)]
                     assert engine == pair_graph_components(pairs, starts[own].tolist()), (index, span, word)
 
@@ -265,14 +280,14 @@ class TestThresholdGroupsReference:
         vals[20:22] = [1.0, 1.0]
         series = TimeSeries(np.array(vals))
         norm = z_normalize(series)
-        step = float(np.sqrt(2.0)) / norm.std_used  # distance of windows one unit apart
+        step = float(np.sqrt(2.0)) / float(series.values.std())  # distance of windows one unit apart
         r = 1.5 * step
         pairs = brute_force_threshold_pairs(series, 2, r)
         chosen = {(i, j) for i, j, _ in pairs if {i, j} <= {0, 10, 20}}
         assert chosen == {(0, 20), (10, 20)}
         starts = np.array([0, 10, 20])
-        raw = window_ids(norm.values, 2)[starts]
-        assert group_lists(groups(norm.values, 2, 2, starts, np.zeros(3, dtype=np.int64), raw, r)) == [[0, 10, 20]]
+        raw = window_ids(norm, 2)[starts]
+        assert group_lists(groups(norm, 2, 2, starts, np.zeros(3, dtype=np.int64), raw, r)) == [[0, 10, 20]]
         assert pair_graph_components(pairs, [0, 10, 20]) == [(0, 10, 20)]
 
 
@@ -304,7 +319,7 @@ class TestGroups:
             for x in sorted(starts.tolist()):
                 classes.setdefault(series.values[x : x + span].tobytes(), []).append(x)
             expected = sorted(group for group in classes.values() if len(group) >= 2)
-            norm = z_normalize(series).values
+            norm = z_normalize(series)
             assert group_lists(groups(norm, s, span, starts, words, raw, 0.0)) == expected, index
 
     def test_threshold_groups_are_pair_graph_components(self):
@@ -314,7 +329,7 @@ class TestGroups:
             expected = []
             for word in set(words.tolist()):
                 expected += pair_graph_components(pairs, starts[words == word].tolist())
-            found = group_lists(groups(z_normalize(series).values, s, span, starts, words, raw, r))
+            found = group_lists(groups(z_normalize(series), s, span, starts, words, raw, r))
             assert [tuple(group) for group in found] == sorted(expected), (index, r)
 
 

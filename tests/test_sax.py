@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from motiftrack import (
-    NormalizedSeries,
     SaxConfig,
     TimeSeries,
     build_symbol_matrix,
@@ -16,11 +15,6 @@ from motiftrack import (
 )
 
 from conftest import phi, phi_inv
-
-
-def norm_series(values) -> NormalizedSeries:
-    arr = np.array(values, dtype=float)
-    return NormalizedSeries(arr, 0.0, 1.0)
 
 
 class TestSaxConfig:
@@ -92,20 +86,25 @@ class TestWindowSymbol:
 
 class TestSymbolMatrix:
     def test_hand_example(self):
-        matrix = build_symbol_matrix(norm_series([-1.0, -1.0, 1.0, 1.0]), SaxConfig(2, 2))
+        matrix = build_symbol_matrix(np.array([-1.0, -1.0, 1.0, 1.0]), SaxConfig(2, 2))
         assert matrix.symbols == "abb"
 
     def test_single_window_boundary(self):
-        matrix = build_symbol_matrix(norm_series([0.0, 0.0, 0.0]), SaxConfig(3, 2))
+        matrix = build_symbol_matrix(np.array([0.0, 0.0, 0.0]), SaxConfig(3, 2))
         assert matrix.symbols == "b"
 
     def test_window_equal_to_series(self):
-        matrix = build_symbol_matrix(norm_series([0.3, -0.2, 0.9, 0.1, -1.0]), SaxConfig(5, 4))
+        matrix = build_symbol_matrix(np.array([0.3, -0.2, 0.9, 0.1, -1.0]), SaxConfig(5, 4))
         assert len(matrix.symbols) == 1
+
+    def test_letters_read_only(self):
+        matrix = build_symbol_matrix(np.array([-1.0, -1.0, 1.0, 1.0]), SaxConfig(2, 2))
+        with pytest.raises(ValueError):
+            matrix.letters[0] = 1
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="series shorter than symbol length"):
-            build_symbol_matrix(norm_series([1.0, 2.0]), SaxConfig(3, 4))
+            build_symbol_matrix(np.array([1.0, 2.0]), SaxConfig(3, 4))
 
     @given(
         st.integers(1, 8),
@@ -144,6 +143,6 @@ class TestSymbolMatrix:
             matrix = build_symbol_matrix(norm, SaxConfig(s, a))
             cuts = gaussian_breakpoints(a)
             for i in range(m - s + 1):
-                expected = window_symbol(norm.values[i : i + s], cuts)
+                expected = window_symbol(norm[i : i + s], cuts)
                 assert matrix.symbols[i] == chr(ord("a") + expected)
                 assert matrix.letters[i] == expected

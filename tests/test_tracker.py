@@ -205,7 +205,7 @@ class TestConfirmSharedRounds:
                 vals = np.where(rng.random(m) < 0.7, 0.0, rng.standard_normal(m))
             s = 1 + seed % 3
             series = TimeSeries(vals)
-            norm_values = z_normalize(series).values
+            norm_values = z_normalize(series)
             for r in (0.3, 1.0, 2.5):
                 # the matched starts of generations 1, 2 and 4 of a real run at r
                 for span, starts, words, raw in groups_calls(series, MtaConfig(SaxConfig(s, 4), r, tme)):
@@ -328,7 +328,7 @@ class TestMtaConfig:
 
 
 class TestWithText:
-    MATRIX = SymbolMatrix("abcdefghij", SaxConfig(2, 10))
+    MATRIX = SymbolMatrix(np.arange(10), SaxConfig(2, 10))
 
     def test_every_s_th_symbol_from_first_start(self):
         motifs = MotifSet((MemoryMotif("", 6, (1, 4)), MemoryMotif("old", 2, (0, 8))))
@@ -592,7 +592,7 @@ class TestPoolPrune:
 
         monkeypatch.setattr(tracker_module, "streamline", counting_streamline)
         series = TimeSeries(values)
-        norm, s, r = z_normalize(series).values, config.sax.symbol_length, config.match_threshold
+        norm, s, r = z_normalize(series), config.sax.symbol_length, config.match_threshold
         calls = groups_calls(series, config)
         found = [(span, group_lists(groups(norm, s, span, *inputs, r))) for span, *inputs in calls]
         pool = len(found[-1][1])
@@ -662,7 +662,7 @@ class TestRunMta:
             m = rng.randint(30, 150)
             vals = [float(rng.randrange(5)) for _ in range(m)]
             series = TimeSeries(np.array(vals))
-            norm = z_normalize(series).values
+            norm = z_normalize(series)
             for mo in run_mta(series, MtaConfig(SaxConfig(2, 4))):
                 first = norm[mo.occurrences[0] : mo.occurrences[0] + mo.point_length]
                 for occ in mo.occurrences[1:]:
