@@ -238,16 +238,11 @@ def format_sweep_table(rows) -> str:
     lines = ["s\ta\tr\ttme\tmotifs\tquality\ttime_ms"]
     for row in rows:
         tme = "on" if row.tme_enabled else "off"
+        cell = f"{row.symbol_length}\t{row.alphabet}\t{row.threshold:g}\t{tme}\t"
         if row.error is not None:
-            lines.append(
-                f"{row.symbol_length}\t{row.alphabet}\t{row.threshold:g}\t{tme}\t"
-                f"error: {row.error}"
-            )
+            lines.append(f"{cell}error: {row.error}")
         else:
-            lines.append(
-                f"{row.symbol_length}\t{row.alphabet}\t{row.threshold:g}\t{tme}\t"
-                f"{row.motif_count}\t{row.quality}\t{row.wall_time_ms}"
-            )
+            lines.append(f"{cell}{row.motif_count}\t{row.quality}\t{row.wall_time_ms}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,6 @@
 """Time-series container, z-normalization, the Euclidean distance primitive and series files.
 
-TimeSeries holds the input rules: at least one value ("empty input"), every
+TimeSeries holds the input rules: one dimension, at least one value, every
 value finite (load_series_text first names the line of a non-finite one).
 z_normalize returns the normalized values as a read-only array.
 """
@@ -21,7 +21,9 @@ class TimeSeries:
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
+        if arr.ndim != 1:
+            raise ValueError("values must be one-dimensional")
+        if arr.size == 0:
             raise ValueError("empty input")
         if not np.all(np.isfinite(arr)):
             raise ValueError("values must be finite")
@@ -80,29 +82,23 @@ def load_series_text(text: str) -> TimeSeries:
         # the usual file: every line a bare number, parsed without a list of floats
         arr = np.fromiter(map(float, lines), np.float64, count=len(lines))
     except ValueError:
-        arr = _load_lines(lines)
+        arr = np.fromiter((value for _, _, value in _numbered(lines)), np.float64)
     if not np.isfinite(arr).all():
         # only the error path pays a second pass, to find the line
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#") and not math.isfinite(float(line)):
-                raise ValueError(f"line {lineno}: not a finite number: {line!r}")
+        lineno, line, _ = next(entry for entry in _numbered(lines) if not math.isfinite(entry[2]))
+        raise ValueError(f"line {lineno}: not a finite number: {line!r}")
     return TimeSeries(arr)
 
 
-def _load_lines(lines: list[str]) -> np.ndarray:
-    """Parse line by line, skipping blanks and comments and naming a bad line."""
-    values: list[float] = []
-    append = values.append
+def _numbered(lines):
+    """Yield (line number from 1, stripped line, value) per line that is not blank or a '#' comment."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            append(float(line))
-        except ValueError:
-            raise ValueError(f"line {lineno}: not a number: {line!r}") from None
-    return np.array(values, dtype=np.float64)
+        if line and not line.startswith("#"):
+            try:
+                yield lineno, line, float(line)
+            except ValueError:
+                raise ValueError(f"line {lineno}: not a number: {line!r}") from None
 
 
 def load_series_file(path) -> TimeSeries:

@@ -454,11 +454,10 @@ def _encapsulated(
         covered[todo] = np.logical_and.reduceat(reach(tried.repeat(n), o), ends - n)
 
 
-def _memory(span: int, members: np.ndarray, bounds: np.ndarray, keep=None) -> list[MemoryMotif]:
-    """The memory motifs of the groups, or of those keep marks, with empty text (MotifSet.with_text cuts it)."""
+def _memory(span: int, members: np.ndarray, bounds: np.ndarray, keep: np.ndarray) -> list[MemoryMotif]:
+    """The memory motifs of the groups that keep marks, with empty text (MotifSet.with_text cuts it)."""
     sizes = bounds[1:] - bounds[:-1]
-    if keep is not None:
-        members, sizes = members[keep.repeat(sizes)], sizes[keep]
+    members, sizes = members[keep.repeat(sizes)], sizes[keep]
     flat, ends = members.tolist(), sizes.cumsum().tolist()
     return [MemoryMotif("", span, tuple(flat[lo:hi])) for lo, hi in zip([0] + ends[:-1], ends)]
 
@@ -567,7 +566,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
             break
         trackers = proliferate_and_mutate(candidates, confirmed, template)
         span += s
-    pool += _memory(held_span, *held)
+    pool += _memory(held_span, *held, np.ones(held[1].size - 1, dtype=bool))
     return streamline(pool).with_text(matrix)
 
 

@@ -365,7 +365,7 @@ def reference_cases(draw):
         values = np.cumsum(values) if kind == "walk" else values
     s = draw(st.integers(1, min(m, 6)))
     a = draw(st.integers(2, 6))
-    r = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0, 3.0]))
+    r = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0, 3.0, 1e308, math.inf]))
     return TimeSeries(values), MtaConfig(SaxConfig(s, a), r, draw(st.booleans()))
 
 

@@ -66,6 +66,11 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="empty input"):
             TimeSeries(np.array([]))
 
+    @pytest.mark.parametrize("values", [np.zeros((3, 1)), np.float64(3.0), [[1.0, 2.0]]])
+    def test_not_one_dimensional_rejected(self, values):
+        with pytest.raises(ValueError, match="values must be one-dimensional"):
+            TimeSeries(values)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             TimeSeries(np.array([1.0, np.nan]))
