@@ -15,9 +15,11 @@ of a long periodic run.  The trackers are a per-start mask: the word's
 thinned by trivial-match elimination, are confirmed against the data: each
 word's starts fall into raw classes, the oracle's exact repeats and at r = 0
 the groups; at r > 0 single-linkage chains the classes whose windows lie
-within r (Euclidean distance, z-normalized units), in one pass over one
-representative window per class, pairs whose mean or PAA lower bound exceeds
-r pruned before their distance is computed.
+within r (Euclidean distance, z-normalized units) over one representative
+window per class: the pairs within a tracker's mean band are walked by
+diagonals, pairs whose PAA lower bound exceeds r pruned and each survivor
+decided by one fused product, exact where it lies within rounding of r, and
+a row retires once the rest of its band shares its component.
 A generation's groups are one array of starts plus group bounds.  Each is
 stored in the memory pool once the next generation is confirmed, unless any
 next-generation group encapsulates it: covered groups, which streamlining
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,7 +117,7 @@ class MotifSet:
         def text(mo: MemoryMotif) -> str:
             return symbols[mo.occurrences[0] : mo.occurrences[0] + mo.point_length : s] if mo.occurrences else ""
 
-        return MotifSet(tuple(replace(mo, text=text(mo)) for mo in self.motifs))
+        return MotifSet(tuple(MemoryMotif(text(mo), mo.point_length, mo.occurrences) for mo in self.motifs))
 
 
 def _name(key: np.ndarray) -> tuple[np.ndarray, int]:
@@ -202,19 +204,27 @@ def eliminate_unmatched(counts: np.ndarray) -> np.ndarray:
 
 
 def confirm_motifs(
-    matrix: CandidateMatrix, tracked: np.ndarray, values: np.ndarray, threshold: float
+    matrix: CandidateMatrix, tracked: np.ndarray, values: np.ndarray, threshold: float, largest: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Confirm the tracked candidate starts against the data: groups over them.
 
     A word matched only once yields no group, as groups keeps groups of two
     or more starts, so eliminate_unmatched's count is not applied again.
+    largest, the largest |value| of values, is passed on to groups.
     """
     s, span = matrix.symbol_length, matrix.point_span
-    return groups(values, s, span, tracked, matrix.ids[tracked], matrix.raw[tracked], threshold)
+    return groups(values, s, span, tracked, matrix.ids[tracked], matrix.raw[tracked], threshold, largest=largest)
 
 
 def groups(
-    values: np.ndarray, s: int, span: int, starts: np.ndarray, words: np.ndarray, raw: np.ndarray, threshold: float
+    values: np.ndarray,
+    s: int,
+    span: int,
+    starts: np.ndarray,
+    words: np.ndarray,
+    raw: np.ndarray,
+    threshold: float,
+    largest: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The confirmed groups among candidate starts, each a tracker's stimulation.
 
@@ -226,9 +236,16 @@ def groups(
     distances within it.  Returns (members, bounds): group k is
     members[bounds[k]:bounds[k + 1]], ascending, one per group of two or
     more starts, the groups ordered by first start; one word can have
-    several.
+    several.  largest is the largest |value| of values, for the rounding
+    margin at r > 0; it is computed here when not given (run_mta gives it,
+    once per run).
     """
-    labels = raw if threshold <= 0 else _chain_labels(values, s, span, starts, words, raw, threshold)
+    if threshold <= 0:
+        labels = raw
+    else:
+        if largest is None:
+            largest = float(np.maximum.reduce(np.abs(values)))
+        labels = _chain_labels(values, s, span, starts, words, raw, threshold, largest)
     order = np.lexsort((starts, labels))
     labels, starts = labels[order], starts[order]
     edge = np.empty(labels.size + 1, dtype=bool)  # where a run of equal labels starts or ends
@@ -243,27 +260,56 @@ def groups(
     return starts[(lo - bounds[:-1]).repeat(sizes) + np.arange(bounds[-1])], bounds
 
 
-# pairs per block, in window elements: bounds each gather of windows at
-# 128 KB whatever the number and size of the trackers
+# pairs per batch, in window elements: a batch takes at most _PAIR_BLOCK // span
+# pairs, so each gather of windows stays within 128 KB, unless one diagonal of
+# the live rows alone is more
 _PAIR_BLOCK = 1 << 14
 
 
 def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
-    """Whether each pair of windows (a[n], b[n]) lies within the threshold.
+    """Whether each pair of windows (a[n], b[n]) lies within the threshold, as euclidean_distance decides it.
 
-    The distance is euclidean_distance's formula computed in place, (x - y)
-    squared and summed per row, so each decision matches that function's.
+    Each pair's squared distance S is one fused product of its difference
+    row with itself (np.vecdot), summed in whatever order that takes.
+    euclidean_distance sums the same squared differences pairwise, and
+    accepts when sqrt of its sum is at most r.  Any order of summing n
+    non-negative terms, each rounded once, lies within about n * eps of
+    their exact sum T, so both sums lie within that of T and of each other;
+    the square root and r * r round by a few eps more, and underflow adds
+    at most eps * float_info.min per term, which a floor of
+    (n + 3) * float_info.min covers.  So with m = 4(n + 3) eps, a margin
+    twice all of it, a pair with S <= r * r * (1 - m) - floor is within r
+    by euclidean_distance too and one with S > r * r * (1 + m) + floor is
+    not; only a pair between the two takes that function's formula, on the
+    same differences.
     """
-    diff = windows[a]
-    diff -= windows[b]
-    diff *= diff
-    return np.sqrt(np.add.reduce(diff, axis=1)) <= threshold
+    diff = windows.take(a, axis=0)
+    diff -= windows.take(b, axis=0)
+    total = np.vecdot(diff, diff)
+    span, square = windows.shape[1], threshold * threshold
+    margin, floor = 4 * (span + 3) * sys.float_info.epsilon, (span + 3) * sys.float_info.min
+    low, high = square * (1 - margin) - floor, square * (1 + margin) + floor
+    within = total <= low
+    unsure = ~within
+    if np.minimum.reduce(total, where=unsure, initial=math.inf) <= high:
+        unsure &= total <= high
+        exact = diff[unsure]
+        exact *= exact
+        within[unsure] = np.sqrt(np.add.reduce(exact, axis=1)) <= threshold
+    return within
 
 
 def _chain_labels(
-    values: np.ndarray, s: int, span: int, starts: np.ndarray, words: np.ndarray, raw: np.ndarray, threshold: float
+    values: np.ndarray,
+    s: int,
+    span: int,
+    starts: np.ndarray,
+    words: np.ndarray,
+    raw: np.ndarray,
+    threshold: float,
+    largest: float,
 ) -> np.ndarray:
-    """Single-linkage group labels of every tracker's starts, in one pass.
+    """Single-linkage group labels of every tracker's starts.
 
     words holds each start's tracker (word id) and raw its raw-window id,
     in any order, each raw class within one tracker.  Equal raw windows are
@@ -271,18 +317,31 @@ def _chain_labels(
     representative start per class stands for all its members: their
     distances to any window are its distances, bit for bit.
 
-    The representatives' pairs within one tracker are visited once, in
-    blocks of _PAIR_BLOCK // span pairs, and two lower bounds on their
-    distance prune them before it is computed (Keogh et al. 2001):
-    sqrt(span) times the difference of the whole-window means, a band over
-    each tracker's representatives sorted by mean, so pairs outside it are
-    never generated; then sqrt(s) times the norm of the differences of the
-    means of the g s-point blocks (PAA, from which SAX's MINDIST derives).
-    Pruning waits until a bound exceeds r by a margin that covers its own
-    and the distance's rounding, so the surviving pairs go to _within and
-    every d <= r decision is still euclidean_distance's.  Pairs within r
-    join components (_join); once some have, pairs already in one component
-    are skipped.  Returns one label per start; equal labels mean one group.
+    The representatives are sorted by tracker, then by whole-window mean,
+    and their windows (and PAA rows, where that bound runs) gathered in
+    that order.  Two lower
+    bounds on a pair's distance prune it before the distance is computed
+    (Keogh et al. 2001): sqrt(span) times the difference of the means, a
+    band, so row i pairs only with rows i + 1 .. i + gap[i] - 1 of its tracker;
+    then sqrt(s) times the norm of the differences of the means of the g
+    s-point blocks (PAA, from which SAX's MINDIST derives), one fused
+    product per pair.  Pruning waits until a bound exceeds r by a margin
+    that covers its own and the distance's rounding, so the surviving
+    pairs go to _within and every d <= r decision is still
+    euclidean_distance's.  largest is the largest |value|, for the margin.
+
+    The band is walked by diagonals: a batch takes the pairs (i, i + t) of
+    every live row for the next k diagonals t, k = block // live rows but
+    at least one and none past the widest band: at most block pairs, or one
+    diagonal when the live rows are more.  Pairs within r are
+    held and joined (_join) once a block's worth is held, and at the end;
+    pairs already in one component are skipped.  A row retires when its
+    band is spent, and after a join when the rest of its band is one run
+    of rows of its own label, which no pair can join further; the runs'
+    ends cost O(n) per join.  So once a tracker's rows share a component,
+    as on flat data, its pairs stop being enumerated: the pairs paid for
+    are about the open ones plus a diagonal per row.  Returns one label
+    per start; equal labels mean one group.
     """
     # one position per class, whichever member the scatter keeps
     at = np.arange(raw.size)
@@ -305,49 +364,74 @@ def _chain_labels(
     # the margin: the means err by a few eps times the largest |value| per
     # term summed, the sums of squares by eps per term, and the floor covers
     # underflow; limit inflates r by all of it, with a factor of 2 to spare
-    eps, largest = sys.float_info.epsilon, float(np.maximum.reduce(np.abs(values)))
+    eps = sys.float_info.epsilon
     slack = 4 * (span + 3) * math.sqrt(span) * (eps * largest + math.sqrt(sys.float_info.min))
     limit = (threshold + slack) * (1 + 4 * (span + 3) * eps)
-    # representatives by tracker, then whole-window mean (the mean of the block means)
+    # representatives by tracker, then whole-window mean (the mean of the block
+    # means), their windows and PAA rows gathered in that order
     rep = starts[picked]
-    mean = np.add.reduce(paa, axis=1)[rep] / generation
+    mean = np.add.reduce(paa.take(rep, axis=0), axis=1) / generation
     order = np.lexsort((mean, tracker))
     rep, tracker, mean = rep[order], tracker[order], mean[order]
+    windows = windows.take(rep, axis=0)
+    bounded = 1 < generation < span  # at g = 1 the band is the PAA bound, at s = 1 the distance
+    if bounded:
+        paa = paa.take(rep, axis=0)
     # row i pairs representative i with the later ones of its tracker whose
     # mean lies within the band: one search on (tracker, rank of the mean)
+    n, rows = rep.size, np.arange(rep.size)
     ranked = mean.copy()
     ranked.sort()
-    key = tracker * (rep.size + 1) + ranked.searchsorted(mean)
-    top = tracker * (rep.size + 1) + ranked.searchsorted(mean + limit / math.sqrt(span), side="right")
-    stop = key.searchsorted(top)  # one past row i's last partner
-    ends = (stop - np.arange(1, rep.size + 1)).cumsum()  # pairs in rows 0..i
-    shift = stop - ends  # pair p of row i pairs i with p + shift[i]
-    total, block, cap = int(ends[-1]), max(1, _PAIR_BLOCK // span), limit * limit / s
-    label, joined = np.arange(rep.size), False
+    base = tracker * (n + 1)
+    key = base + ranked.searchsorted(mean)
+    top = base + ranked.searchsorted(mean + limit / math.sqrt(span), side="right")
+    # live rows with their band's width, narrowest first, so the spent rows
+    # are always a prefix: row i's partners are i + 1 .. i + gap[i] - 1
+    gap = key.searchsorted(top) - rows
+    live = gap.argsort()
+    gap = gap[live]
+    block, cap = max(1, _PAIR_BLOCK // span), limit * limit / s
+    label, joined, d = rows, False, 1
     held_i, held_j, held = [], [], 0
-    for lo in range(0, total, block):
-        pair = np.arange(lo, min(lo + block, total))
-        i = ends.searchsorted(pair, side="right")
-        j = pair + shift[i]
+    while True:
+        cut = gap.searchsorted(d, side="right")
+        live, gap = live[cut:], gap[cut:]
+        if not live.size:
+            break
+        # the next block // live rows diagonals (at least one), none past the widest band
+        offsets = rows[d : min(d + max(1, block // live.size), gap[-1])]
+        # the pairs (i, i + t) by diagonal t, then row: live repeated by a zero stride
+        valid = np.less.outer(offsets, gap)
+        i = np.ndarray(valid.shape, live.dtype, live, 0, (0, live.strides[0]))[valid]
+        j = np.add.outer(offsets, live)[valid]
+        d += offsets.size
         if joined:
             open_ = label[i] != label[j]
             i, j = i[open_], j[open_]
-        a, b = rep[i], rep[j]
-        if 1 < generation < span:  # at g = 1 the band is this bound, at s = 1 the distance
-            bound = paa[a]
-            bound -= paa[b]
-            bound *= bound
-            near = np.add.reduce(bound, axis=1) <= cap
-            i, j, a, b = i[near], j[near], a[near], b[near]
-        within = _within(windows, a, b, threshold)
+        if bounded:
+            bound = paa.take(i, axis=0)
+            bound -= paa.take(j, axis=0)
+            near = np.vecdot(bound, bound) <= cap
+            i, j = i[near], j[near]
+        within = _within(windows, i, j, threshold)
         held_i.append(i[within])
         held_j.append(j[within])
         held += held_i[-1].size
-        # join once a block's worth is held, bounding the held edges, and at the end
-        if held >= block or (held and lo + block >= total):
+        # join once a block's worth is held, bounding the held edges
+        if held >= block:
             label = _join(label, np.concatenate(held_i), np.concatenate(held_j))
             held_i, held_j, held, joined = [], [], 0, True
-    by_class = np.empty(label.size, dtype=label.dtype)
+            # retire the rows whose band from i + d on is one run of their own label
+            last = np.empty(n, dtype=bool)
+            np.not_equal(label[1:], label[:-1], out=last[:-1])
+            last[-1] = True
+            ends = last.nonzero()[0]  # the last row of each run
+            x = np.minimum(live + d, n - 1)
+            keep = (label[x] != label[live]) | (ends[ends.searchsorted(x)] < live + gap - 1)
+            live, gap = live[keep], gap[keep]
+    if held:
+        label = _join(label, np.concatenate(held_i), np.concatenate(held_j))
+    by_class = np.empty(n, dtype=label.dtype)
     by_class[order] = label
     return by_class[inverse]
 
@@ -547,6 +631,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     letters = matrix.letters
     blocks = _window_ids(series.values, s)
     trackers = np.ones(letters.size, dtype=bool)
+    largest = max(-float(np.minimum.reduce(norm)), float(np.maximum.reduce(norm)))  # for the rounding margin
     candidates = template = None
     pool: list[MemoryMotif] = []
     held = (np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp))  # the groups not yet stored, of held_span points
@@ -556,7 +641,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
         tracked = candidates.words[trackers[candidates.words]]  # the candidate starts holding a tracker
         if not eliminate_unmatched(match_trackers(candidates, tracked)).size:
             break
-        found = confirm_motifs(candidates, tracked, norm, config.match_threshold)
+        found = confirm_motifs(candidates, tracked, norm, config.match_threshold, largest)
         confirmed = eliminate_unconfirmed(candidates, found)
         pool += _memory(held_span, *held, ~_encapsulated(*held, *found, s))
         held, held_span = found, span

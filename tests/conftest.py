@@ -149,9 +149,9 @@ def groups_calls(series: TimeSeries, config: MtaConfig) -> list[tuple[int, np.nd
     """The (span, starts, words, raw) of each groups call one run_mta run makes, a call per generation."""
     calls, inner = [], tracker_module.groups
 
-    def recording(values, s, span, starts, words, raw, threshold):
+    def recording(values, s, span, starts, words, raw, threshold, largest=None):
         calls.append((span, starts, words, raw))
-        return inner(values, s, span, starts, words, raw, threshold)
+        return inner(values, s, span, starts, words, raw, threshold, largest)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tracker_module, "groups", recording)

@@ -276,6 +276,30 @@ class TestThresholdBoundary:
             self.assert_boundary(vals, s, span, a, b)
 
 
+class TestWithinDecision:
+    """_within's fused sums decide every pair as euclidean_distance does.
+
+    At r = d, and a float either side of it, each pair's fused sum lies
+    inside the rounding margin around r * r, so the exact formula decides
+    it; the spans cover the edges of numpy's unrolled and pairwise-summation
+    blocks, and the scales the underflow floor.
+    """
+
+    @pytest.mark.parametrize("span", [1, 7, 8, 9, 127, 128, 129, 300])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-160, 1e-3, 1.0, 1e3]))
+    def test_agrees_with_euclidean_distance_at_r_and_its_neighbours(self, span, seed, scale):
+        rng = np.random.default_rng(seed)
+        windows = rng.standard_normal((4, span)) * scale
+        windows[3] = windows[0] + rng.standard_normal(span) * scale * 1e-9  # a near copy
+        a, b = np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3])
+        distances = [euclidean_distance(windows[x], windows[y]) for x, y in zip(a, b)]
+        for d in distances:
+            for r in (float(np.nextafter(d, 0)), d, float(np.nextafter(d, np.inf))):
+                expected = [distance <= r for distance in distances]
+                assert tracker_module._within(windows, a, b, r).tolist() == expected, (d, r)
+
+
 class TestConfirmCost:
     """Threshold confirmation measures raw classes, not starts.
 
@@ -757,6 +781,21 @@ class TestTimeBudget:
         out, seconds = self.timed(self.period_37(), False, 0.5)
         assert seconds < 15
         assert len(out) == 10
+
+    def test_walk_threshold_r1(self):
+        out, seconds = self.timed(np.cumsum(np.random.default_rng(0).standard_normal(self.M)), False, 1.0)
+        assert seconds < 15
+        assert len(out) == 1186
+
+    def test_flat_noise_and_spike_threshold(self):
+        # one tracker holds nearly every start, and nearly all its windows lie
+        # within r of each other: chaining must pay per open pair, not per band pair
+        m = 4000
+        values = np.random.default_rng(0).standard_normal(m) * 1e-3
+        values[m // 2] = 1000
+        out, seconds = self.timed(values, False, 0.5)
+        assert seconds < 15
+        assert [(mo.point_length, len(mo.occurrences)) for mo in out] == [(1990, 21)]
 
 
     @pytest.mark.parametrize("r", [0.0, 0.5])
