@@ -204,16 +204,15 @@ def eliminate_unmatched(counts: np.ndarray) -> np.ndarray:
 
 
 def confirm_motifs(
-    matrix: CandidateMatrix, tracked: np.ndarray, values: np.ndarray, threshold: float, largest: float | None = None
+    matrix: CandidateMatrix, tracked: np.ndarray, values: np.ndarray, threshold: float, largest: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Confirm the tracked candidate starts against the data: groups over them.
 
     A word matched only once yields no group, as groups keeps groups of two
     or more starts, so eliminate_unmatched's count is not applied again.
-    largest, the largest |value| of values, is passed on to groups.
     """
     s, span = matrix.symbol_length, matrix.point_span
-    return groups(values, s, span, tracked, matrix.ids[tracked], matrix.raw[tracked], threshold, largest=largest)
+    return groups(values, s, span, tracked, matrix.ids[tracked], matrix.raw[tracked], threshold, largest)
 
 
 def groups(
@@ -260,10 +259,17 @@ def groups(
     return starts[(lo - bounds[:-1]).repeat(sizes) + np.arange(bounds[-1])], bounds
 
 
-# pairs per batch, in window elements: a batch takes at most _PAIR_BLOCK // span
-# pairs, so each gather of windows stays within 128 KB, unless one diagonal of
-# the live rows alone is more
+# pairs per slice, in window elements: a slice takes at most _PAIR_BLOCK // span
+# pairs, so each gather of windows stays within 128 KB
 _PAIR_BLOCK = 1 << 14
+# the representatives' windows are gathered into one array while they fit in
+# this many elements (2 MB); past it they stay strided views of the series
+_GATHER = 1 << 18
+
+
+def _rows(array: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """array[at] along axis 0 by take, the faster gather, where array is contiguous (take copies any other whole)."""
+    return array.take(at, axis=0) if array.flags.c_contiguous else array[at]
 
 
 def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
@@ -283,8 +289,8 @@ def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float)
     not; only a pair between the two takes that function's formula, on the
     same differences.
     """
-    diff = windows.take(a, axis=0)
-    diff -= windows.take(b, axis=0)
+    diff = _rows(windows, a)
+    diff -= _rows(windows, b)
     total = np.vecdot(diff, diff)
     span, square = windows.shape[1], threshold * threshold
     margin, floor = 4 * (span + 3) * sys.float_info.epsilon, (span + 3) * sys.float_info.min
@@ -319,7 +325,9 @@ def _chain_labels(
 
     The representatives are sorted by tracker, then by whole-window mean,
     and their windows (and PAA rows, where that bound runs) gathered in
-    that order.  Two lower
+    that order while they fit in _GATHER elements; past that they stay
+    strided views of values, indexed through the representatives' starts,
+    so no generation holds more than a slice's windows.  Two lower
     bounds on a pair's distance prune it before the distance is computed
     (Keogh et al. 2001): sqrt(span) times the difference of the means, a
     band, so row i pairs only with rows i + 1 .. i + gap[i] - 1 of its tracker;
@@ -333,7 +341,8 @@ def _chain_labels(
     The band is walked by diagonals: a batch takes the pairs (i, i + t) of
     every live row for the next k diagonals t, k = block // live rows but
     at least one and none past the widest band: at most block pairs, or one
-    diagonal when the live rows are more.  Pairs within r are
+    diagonal when the live rows are more.  The batch's open pairs go
+    through the bounds in slices of block pairs.  Pairs within r are
     held and joined (_join) once a block's worth is held, and at the end;
     pairs already in one component are skipped.  A row retires when its
     band is spent, and after a join when the rest of its band is one run
@@ -368,15 +377,17 @@ def _chain_labels(
     slack = 4 * (span + 3) * math.sqrt(span) * (eps * largest + math.sqrt(sys.float_info.min))
     limit = (threshold + slack) * (1 + 4 * (span + 3) * eps)
     # representatives by tracker, then whole-window mean (the mean of the block
-    # means), their windows and PAA rows gathered in that order
+    # means), their windows and PAA rows gathered in that order if they fit
     rep = starts[picked]
-    mean = np.add.reduce(paa.take(rep, axis=0), axis=1) / generation
+    mean = np.add.reduce(paa, axis=1)[rep] / generation
     order = np.lexsort((mean, tracker))
     rep, tracker, mean = rep[order], tracker[order], mean[order]
-    windows = windows.take(rep, axis=0)
     bounded = 1 < generation < span  # at g = 1 the band is the PAA bound, at s = 1 the distance
-    if bounded:
-        paa = paa.take(rep, axis=0)
+    gathered = rep.size * span <= _GATHER
+    if gathered:
+        windows = windows[rep]
+        if bounded:
+            paa = paa[rep]
     # row i pairs representative i with the later ones of its tracker whose
     # mean lies within the band: one search on (tracker, rank of the mean)
     n, rows = rep.size, np.arange(rep.size)
@@ -408,15 +419,20 @@ def _chain_labels(
         if joined:
             open_ = label[i] != label[j]
             i, j = i[open_], j[open_]
-        if bounded:
-            bound = paa.take(i, axis=0)
-            bound -= paa.take(j, axis=0)
-            near = np.vecdot(bound, bound) <= cap
-            i, j = i[near], j[near]
-        within = _within(windows, i, j, threshold)
-        held_i.append(i[within])
-        held_j.append(j[within])
-        held += held_i[-1].size
+        # the open pairs in slices of block, so every gather stays within _PAIR_BLOCK
+        for lo in range(0, i.size, block):
+            a, b = i[lo : lo + block], j[lo : lo + block]
+            x, y = (a, b) if gathered else (rep[a], rep[b])  # their rows in windows and paa
+            if bounded:
+                bound = _rows(paa, x)
+                bound -= _rows(paa, y)
+                near = np.vecdot(bound, bound) <= cap
+                a, b = a[near], b[near]
+                x, y = (a, b) if gathered else (x[near], y[near])
+            within = _within(windows, x, y, threshold)
+            held_i.append(a[within])
+            held_j.append(b[within])
+            held += held_i[-1].size
         # join once a block's worth is held, bounding the held edges
         if held >= block:
             label = _join(label, np.concatenate(held_i), np.concatenate(held_j))

@@ -149,7 +149,7 @@ def groups_calls(series: TimeSeries, config: MtaConfig) -> list[tuple[int, np.nd
     """The (span, starts, words, raw) of each groups call one run_mta run makes, a call per generation."""
     calls, inner = [], tracker_module.groups
 
-    def recording(values, s, span, starts, words, raw, threshold, largest=None):
+    def recording(values, s, span, starts, words, raw, threshold, largest):
         calls.append((span, starts, words, raw))
         return inner(values, s, span, starts, words, raw, threshold, largest)
 

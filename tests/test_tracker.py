@@ -300,6 +300,25 @@ class TestWithinDecision:
                 assert tracker_module._within(windows, a, b, r).tolist() == expected, (d, r)
 
 
+class TestGatherBudget:
+    """Representatives past _GATHER elements stay strided views of the series
+    and are indexed through their starts; the motif sets are the gathered ones."""
+
+    @pytest.mark.parametrize("s", [1, 4, 10])
+    @pytest.mark.parametrize("tme", [False, True])
+    def test_strided_rows_give_the_gathered_motifs(self, monkeypatch, s, tme):
+        rng = np.random.default_rng(s)
+        spike = rng.standard_normal(600) * 1e-3
+        spike[300] = 1000
+        for values in (np.cumsum(rng.standard_normal(600)), spike):
+            config = MtaConfig(SaxConfig(s, 6), 0.8, tme)
+            gathered = run_mta(TimeSeries(values), config)
+            monkeypatch.setattr(tracker_module, "_GATHER", 0)
+            strided = run_mta(TimeSeries(values), config)
+            monkeypatch.undo()
+            assert strided == gathered
+
+
 class TestConfirmCost:
     """Threshold confirmation measures raw classes, not starts.
 
