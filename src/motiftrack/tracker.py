@@ -16,10 +16,9 @@ thinned by trivial-match elimination, are confirmed against the data: each
 word's starts fall into raw classes, the oracle's exact repeats and at r = 0
 the groups; at r > 0 single-linkage chains the classes whose windows lie
 within r (Euclidean distance, z-normalized units) over one representative
-window per class: the pairs within a tracker's mean band are walked by
-diagonals, pairs whose PAA lower bound exceeds r pruned and each survivor
-decided by one fused product, exact where it lies within rounding of r, and
-a row retires once the rest of its band shares its component.
+window per class: the pairs in a tracker's mean band are walked by diagonals
+and each decided by one fused product (exactly near r), and a row retires
+once the rest of its band shares its component.
 A generation's groups are one array of starts plus group bounds.  Each is
 stored in the memory pool once the next generation is confirmed, unless any
 next-generation group encapsulates it: covered groups, which streamlining
@@ -324,33 +323,29 @@ def _chain_labels(
     distances to any window are its distances, bit for bit.
 
     The representatives are sorted by tracker, then by whole-window mean,
-    and their windows (and PAA rows, where that bound runs) gathered in
-    that order while they fit in _GATHER elements; past that they stay
-    strided views of values, indexed through the representatives' starts,
-    so no generation holds more than a slice's windows.  Two lower
-    bounds on a pair's distance prune it before the distance is computed
-    (Keogh et al. 2001): sqrt(span) times the difference of the means, a
-    band, so row i pairs only with rows i + 1 .. i + gap[i] - 1 of its tracker;
-    then sqrt(s) times the norm of the differences of the means of the g
-    s-point blocks (PAA, from which SAX's MINDIST derives), one fused
-    product per pair.  Pruning waits until a bound exceeds r by a margin
-    that covers its own and the distance's rounding, so the surviving
-    pairs go to _within and every d <= r decision is still
-    euclidean_distance's.  largest is the largest |value|, for the margin.
+    and their windows gathered in that order while they fit in _GATHER
+    elements; past that they stay strided views of values, indexed through
+    the representatives' starts, so no generation holds more than a slice's
+    windows.  One lower bound prunes pairs (Keogh et al. 2001): a pair's
+    distance is at least sqrt(span) times the difference of its means, so
+    row i pairs only with rows i + 1 .. i + gap[i] - 1 of its tracker, the
+    mean band.  Its margin covers the means' and the distance's rounding,
+    so every d <= r decision is still euclidean_distance's, in _within.
+    largest is the largest |value|, for the margin.
 
     The band is walked by diagonals: a batch takes the pairs (i, i + t) of
-    every live row for the next k diagonals t, k = block // live rows but
-    at least one and none past the widest band: at most block pairs, or one
-    diagonal when the live rows are more.  The batch's open pairs go
-    through the bounds in slices of block pairs.  Pairs within r are
-    held and joined (_join) once a block's worth is held, and at the end;
-    pairs already in one component are skipped.  A row retires when its
-    band is spent, and after a join when the rest of its band is one run
-    of rows of its own label, which no pair can join further; the runs'
-    ends cost O(n) per join.  So once a tracker's rows share a component,
-    as on flat data, its pairs stop being enumerated: the pairs paid for
-    are about the open ones plus a diagonal per row.  Returns one label
-    per start; equal labels mean one group.
+    every live row for the next k diagonals t, k = block // live rows but at
+    least one and none past the widest band: at most block pairs, or one
+    diagonal when the live rows are more.  The batch's open pairs go to
+    _within in slices of block pairs.  Pairs within r are held and joined
+    (_join) once a block's worth is held, and at the end; pairs already in
+    one component are skipped.  A row retires when its band is spent, and
+    after a join when the rest of its band is one run of rows of its own
+    label, which no pair can join further; the runs' ends cost O(n) per
+    join.  So once a tracker's rows share a component, as on flat data, its
+    pairs stop being enumerated: the pairs paid for are about the open ones
+    plus a diagonal per row.  Returns one label per start; equal labels mean
+    one group.
     """
     # one position per class, whichever member the scatter keeps
     at = np.arange(raw.size)
@@ -371,23 +366,19 @@ def _chain_labels(
     means = np.add.reduce(np.ndarray((values.size - s + 1, s), values.dtype, values, 0, (step, step)), axis=1) / s
     paa = np.ndarray((count, generation), values.dtype, means, 0, (step, s * step))
     # the margin: the means err by a few eps times the largest |value| per
-    # term summed, the sums of squares by eps per term, and the floor covers
+    # term summed, the distance by eps per term, and the floor covers
     # underflow; limit inflates r by all of it, with a factor of 2 to spare
     eps = sys.float_info.epsilon
     slack = 4 * (span + 3) * math.sqrt(span) * (eps * largest + math.sqrt(sys.float_info.min))
     limit = (threshold + slack) * (1 + 4 * (span + 3) * eps)
-    # representatives by tracker, then whole-window mean (the mean of the block
-    # means), their windows and PAA rows gathered in that order if they fit
+    # representatives by tracker, then mean (of the block means), their windows gathered in that order if they fit
     rep = starts[picked]
     mean = np.add.reduce(paa, axis=1)[rep] / generation
     order = np.lexsort((mean, tracker))
     rep, tracker, mean = rep[order], tracker[order], mean[order]
-    bounded = 1 < generation < span  # at g = 1 the band is the PAA bound, at s = 1 the distance
     gathered = rep.size * span <= _GATHER
     if gathered:
         windows = windows[rep]
-        if bounded:
-            paa = paa[rep]
     # row i pairs representative i with the later ones of its tracker whose
     # mean lies within the band: one search on (tracker, rank of the mean)
     n, rows = rep.size, np.arange(rep.size)
@@ -401,7 +392,7 @@ def _chain_labels(
     gap = key.searchsorted(top) - rows
     live = gap.argsort()
     gap = gap[live]
-    block, cap = max(1, _PAIR_BLOCK // span), limit * limit / s
+    block = max(1, _PAIR_BLOCK // span)
     label, joined, d = rows, False, 1
     held_i, held_j, held = [], [], 0
     while True:
@@ -422,13 +413,7 @@ def _chain_labels(
         # the open pairs in slices of block, so every gather stays within _PAIR_BLOCK
         for lo in range(0, i.size, block):
             a, b = i[lo : lo + block], j[lo : lo + block]
-            x, y = (a, b) if gathered else (rep[a], rep[b])  # their rows in windows and paa
-            if bounded:
-                bound = _rows(paa, x)
-                bound -= _rows(paa, y)
-                near = np.vecdot(bound, bound) <= cap
-                a, b = a[near], b[near]
-                x, y = (a, b) if gathered else (x[near], y[near])
+            x, y = (a, b) if gathered else (rep[a], rep[b])  # their rows in windows
             within = _within(windows, x, y, threshold)
             held_i.append(a[within])
             held_j.append(b[within])

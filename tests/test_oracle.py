@@ -401,6 +401,24 @@ class TestReferenceMotifs:
         config = MtaConfig(SaxConfig(s, a), 1.0, True)
         assert list(run_mta(series, config)) == list(reference_motifs(series, config))
 
+    @pytest.mark.parametrize(
+        "values, r, count",
+        [
+            (np.where(np.arange(2000) == 1000, 1000.0, np.random.default_rng(0).standard_normal(2000) * 1e-3), 0.5, 1),
+            (np.cumsum(np.random.default_rng(0).standard_normal(2000)), 1.0, 432),
+        ],
+        ids=["flat-noise-and-spike", "walk"],
+    )
+    def test_threshold_m2000(self, values, r, count):
+        # at 2,000 points threshold chaining runs the paths the small cases
+        # never reach: slices of a batch's pairs (the live rows outnumber a
+        # block), windows read in place from the series (past the gather
+        # budget) and rows retired after many joins
+        series, config = TimeSeries(values), MtaConfig(SaxConfig(10, 10), r, False)
+        engine = list(run_mta(series, config))
+        assert len(engine) == count
+        assert engine == list(reference_motifs(series, config))
+
     def test_reference_matches_exact_oracle(self):
         for index, s, a, series in corpus_instances(count=24):
             reference = reference_motifs(series, MtaConfig(SaxConfig(s, a)))
