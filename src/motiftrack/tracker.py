@@ -16,9 +16,10 @@ thinned by trivial-match elimination, are confirmed against the data: each
 word's starts fall into raw classes, the oracle's exact repeats and at r = 0
 the groups; at r > 0 single-linkage chains the classes whose windows lie
 within r (Euclidean distance, z-normalized units) over one representative
-window per class: the pairs in a tracker's mean band are walked by diagonals
-and each decided by one fused product (exactly near r), and a row retires
-once the rest of its band shares its component.
+window per class: the pairs in a tracker's band of window sums, each the
+difference of two prefix sums of the series, are walked by diagonals and
+each decided by one fused product (exactly near r), and a row retires once
+the rest of its band shares its component.
 A generation's groups are one array of starts plus group bounds.  Each is
 stored in the memory pool once the next generation is confirmed, unless any
 next-generation group encapsulates it: covered groups, which streamlining
@@ -203,47 +204,37 @@ def eliminate_unmatched(counts: np.ndarray) -> np.ndarray:
 
 
 def confirm_motifs(
-    matrix: CandidateMatrix, tracked: np.ndarray, values: np.ndarray, threshold: float, largest: float
+    matrix: CandidateMatrix, tracked: np.ndarray, values: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Confirm the tracked candidate starts against the data: groups over them.
 
     A word matched only once yields no group, as groups keeps groups of two
     or more starts, so eliminate_unmatched's count is not applied again.
+    values are run_mta's z-normalized series.
     """
-    s, span = matrix.symbol_length, matrix.point_span
-    return groups(values, s, span, tracked, matrix.ids[tracked], matrix.raw[tracked], threshold, largest)
+    return groups(values, matrix.point_span, tracked, matrix.ids[tracked], matrix.raw[tracked], threshold)
 
 
 def groups(
     values: np.ndarray,
-    s: int,
     span: int,
     starts: np.ndarray,
     words: np.ndarray,
     raw: np.ndarray,
     threshold: float,
-    largest: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The confirmed groups among candidate starts, each a tracker's stimulation.
 
     words and raw hold each start's word id and raw-window id, in any
-    order; span is a multiple of s.  Starts are grouped by raw-window id,
-    the oracle's exact repeat.  A positive threshold is the one difference
-    between the modes: _chain_labels then joins the classes of one word
-    single-linkage, span-point windows of values chained by Euclidean
-    distances within it.  Returns (members, bounds): group k is
-    members[bounds[k]:bounds[k + 1]], ascending, one per group of two or
-    more starts, the groups ordered by first start; one word can have
-    several.  largest is the largest |value| of values, for the rounding
-    margin at r > 0; it is computed here when not given (run_mta gives it,
-    once per run).
+    order.  Starts are grouped by raw-window id, the oracle's exact repeat.
+    A positive threshold is the one difference between the modes:
+    _chain_labels then joins the classes of one word single-linkage,
+    span-point windows of values chained by Euclidean distances within it.
+    Returns (members, bounds): group k is members[bounds[k]:bounds[k + 1]],
+    ascending, one per group of two or more starts, the groups ordered by
+    first start; one word can have several.
     """
-    if threshold <= 0:
-        labels = raw
-    else:
-        if largest is None:
-            largest = float(np.maximum.reduce(np.abs(values)))
-        labels = _chain_labels(values, s, span, starts, words, raw, threshold, largest)
+    labels = raw if threshold <= 0 else _chain_labels(values, span, starts, words, raw, threshold)
     order = np.lexsort((starts, labels))
     labels, starts = labels[order], starts[order]
     edge = np.empty(labels.size + 1, dtype=bool)  # where a run of equal labels starts or ends
@@ -305,14 +296,7 @@ def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float)
 
 
 def _chain_labels(
-    values: np.ndarray,
-    s: int,
-    span: int,
-    starts: np.ndarray,
-    words: np.ndarray,
-    raw: np.ndarray,
-    threshold: float,
-    largest: float,
+    values: np.ndarray, span: int, starts: np.ndarray, words: np.ndarray, raw: np.ndarray, threshold: float
 ) -> np.ndarray:
     """Single-linkage group labels of every tracker's starts.
 
@@ -322,16 +306,23 @@ def _chain_labels(
     representative start per class stands for all its members: their
     distances to any window are its distances, bit for bit.
 
-    The representatives are sorted by tracker, then by whole-window mean,
-    and their windows gathered in that order while they fit in _GATHER
+    The representatives are sorted by tracker, then by window sum, and
+    their windows gathered in that order while they fit in _GATHER
     elements; past that they stay strided views of values, indexed through
     the representatives' starts, so no generation holds more than a slice's
     windows.  One lower bound prunes pairs (Keogh et al. 2001): a pair's
-    distance is at least sqrt(span) times the difference of its means, so
-    row i pairs only with rows i + 1 .. i + gap[i] - 1 of its tracker, the
-    mean band.  Its margin covers the means' and the distance's rounding,
-    so every d <= r decision is still euclidean_distance's, in _within.
-    largest is the largest |value|, for the margin.
+    distance is at least |S_i - S_j| / sqrt(span), S being the window sums,
+    so row i pairs only with rows i + 1 .. i + gap[i] - 1 of its tracker,
+    the band.  Each window sum is the difference of two prefix sums of
+    values, one running sum per call.  A running sum of k terms errs by at
+    most about k * eps * sum|v|, so no key is off by more than about
+    2m * eps * sum|v| on m values; the band's margin covers that and the
+    distance's rounding, so every d <= r decision is still
+    euclidean_distance's, in _within.  run_mta passes z-normalized values,
+    whose squares sum to at most m, so their sum|v| is at most m.  The
+    keys may differ between bit-equal windows, which sax's letters may not
+    (equal windows must get equal symbols); here they decide no letter and
+    no d <= r, only which pairs _within sees.
 
     The band is walked by diagonals: a batch takes the pairs (i, i + t) of
     every live row for the next k diagonals t, k = block // live rows but at
@@ -360,33 +351,32 @@ def _chain_labels(
     inverse = picked.searchsorted(seen[raw])  # each start's class
     values = np.ascontiguousarray(values, dtype=np.float64)
     step = values.strides[0]
-    count, generation = values.size - span + 1, span // s
-    # every span-point window, and the means of its g s-point blocks, as rows of strided views
-    windows = np.ndarray((count, span), values.dtype, values, 0, (step, step))
-    means = np.add.reduce(np.ndarray((values.size - s + 1, s), values.dtype, values, 0, (step, step)), axis=1) / s
-    paa = np.ndarray((count, generation), values.dtype, means, 0, (step, s * step))
-    # the margin: the means err by a few eps times the largest |value| per
-    # term summed, the distance by eps per term, and the floor covers
-    # underflow; limit inflates r by all of it, with a factor of 2 to spare
+    # every span-point window as a row of a strided view, and the prefix sums of values
+    windows = np.ndarray((values.size - span + 1, span), values.dtype, values, 0, (step, step))
+    total = np.zeros(values.size + 1)
+    values.cumsum(out=total[1:])
+    # the margin: a pair's difference of sums errs by about 4m * eps * sum|v|,
+    # euclidean_distance's d by about (span + 3) * eps times d, and adding
+    # limit to a sum rounds by eps more; limit covers each twice
     eps = sys.float_info.epsilon
-    slack = 4 * (span + 3) * math.sqrt(span) * (eps * largest + math.sqrt(sys.float_info.min))
-    limit = (threshold + slack) * (1 + 4 * (span + 3) * eps)
-    # representatives by tracker, then mean (of the block means), their windows gathered in that order if they fit
+    limit = threshold * math.sqrt(span) * (1 + 4 * (span + 3) * eps)
+    limit += 8 * (values.size + 2) * eps * float(np.add.reduce(np.abs(values)))
+    # representatives by tracker, then window sum, their windows gathered in that order if they fit
     rep = starts[picked]
-    mean = np.add.reduce(paa, axis=1)[rep] / generation
-    order = np.lexsort((mean, tracker))
-    rep, tracker, mean = rep[order], tracker[order], mean[order]
+    sums = total[rep + span] - total[rep]
+    order = np.lexsort((sums, tracker))
+    rep, tracker, sums = rep[order], tracker[order], sums[order]
     gathered = rep.size * span <= _GATHER
     if gathered:
         windows = windows[rep]
     # row i pairs representative i with the later ones of its tracker whose
-    # mean lies within the band: one search on (tracker, rank of the mean)
+    # sum lies within the band: one search on (tracker, rank of the sum)
     n, rows = rep.size, np.arange(rep.size)
-    ranked = mean.copy()
+    ranked = sums.copy()
     ranked.sort()
     base = tracker * (n + 1)
-    key = base + ranked.searchsorted(mean)
-    top = base + ranked.searchsorted(mean + limit / math.sqrt(span), side="right")
+    key = base + ranked.searchsorted(sums)
+    top = base + ranked.searchsorted(sums + limit, side="right")
     # live rows with their band's width, narrowest first, so the spent rows
     # are always a prefix: row i's partners are i + 1 .. i + gap[i] - 1
     gap = key.searchsorted(top) - rows
@@ -632,7 +622,6 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     letters = matrix.letters
     blocks = _window_ids(series.values, s)
     trackers = np.ones(letters.size, dtype=bool)
-    largest = max(-float(np.minimum.reduce(norm)), float(np.maximum.reduce(norm)))  # for the rounding margin
     candidates = template = None
     pool: list[MemoryMotif] = []
     held = (np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp))  # the groups not yet stored, of held_span points
@@ -642,7 +631,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
         tracked = candidates.words[trackers[candidates.words]]  # the candidate starts holding a tracker
         if not eliminate_unmatched(match_trackers(candidates, tracked)).size:
             break
-        found = confirm_motifs(candidates, tracked, norm, config.match_threshold, largest)
+        found = confirm_motifs(candidates, tracked, norm, config.match_threshold)
         confirmed = eliminate_unconfirmed(candidates, found)
         pool += _memory(held_span, *held, ~_encapsulated(*held, *found, s))
         held, held_span = found, span

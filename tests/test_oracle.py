@@ -19,6 +19,7 @@ from motiftrack import (
     run_mta,
     z_normalize,
 )
+import motiftrack.tracker as tracker_module
 from motiftrack.tracker import groups
 
 import conftest
@@ -267,7 +268,7 @@ class TestThresholdGroupsReference:
                 pairs = brute_force_threshold_pairs(series, span, r)
                 for word in np.unique(words).tolist():
                     own = words == word
-                    found = groups(norm, s, span, starts[own], words[own], raw[own], r)
+                    found = groups(norm, span, starts[own], words[own], raw[own], r)
                     engine = [tuple(group) for group in group_lists(found)]
                     assert engine == pair_graph_components(pairs, starts[own].tolist()), (index, span, word)
 
@@ -287,7 +288,7 @@ class TestThresholdGroupsReference:
         assert chosen == {(0, 20), (10, 20)}
         starts = np.array([0, 10, 20])
         raw = window_ids(norm, 2)[starts]
-        assert group_lists(groups(norm, 2, 2, starts, np.zeros(3, dtype=np.int64), raw, r)) == [[0, 10, 20]]
+        assert group_lists(groups(norm, 2, starts, np.zeros(3, dtype=np.int64), raw, r)) == [[0, 10, 20]]
         assert pair_graph_components(pairs, [0, 10, 20]) == [(0, 10, 20)]
 
 
@@ -297,7 +298,7 @@ class TestGroups:
 
     @staticmethod
     def instances(count: int):
-        """(series, s, span, starts, words, raw) of threshold_instances' series.
+        """(index, series, span, starts, words, raw) of threshold_instances' series.
 
         Each raw class gets one word from a few ids, as equal raw windows
         have equal symbols, so the words of different classes interleave.
@@ -311,25 +312,25 @@ class TestGroups:
             word_of = [rng.choice((7, 3, 11)) for _ in range(int(raw.max()) + 1)]
             starts = rng.sample(range(raw.size), rng.randint(0, raw.size))
             words = [word_of[raw[x]] for x in starts]
-            yield index, series, s, span, np.array(starts, dtype=np.intp), np.array(words), raw[starts]
+            yield index, series, span, np.array(starts, dtype=np.intp), np.array(words), raw[starts]
 
     def test_exact_groups_are_raw_classes(self):
-        for index, series, s, span, starts, words, raw in self.instances(150):
+        for index, series, span, starts, words, raw in self.instances(150):
             classes = {}
             for x in sorted(starts.tolist()):
                 classes.setdefault(series.values[x : x + span].tobytes(), []).append(x)
             expected = sorted(group for group in classes.values() if len(group) >= 2)
             norm = z_normalize(series)
-            assert group_lists(groups(norm, s, span, starts, words, raw, 0.0)) == expected, index
+            assert group_lists(groups(norm, span, starts, words, raw, 0.0)) == expected, index
 
     def test_threshold_groups_are_pair_graph_components(self):
-        for index, series, s, span, starts, words, raw in self.instances(150):
+        for index, series, span, starts, words, raw in self.instances(150):
             r = (0.1, 0.5, 1.0, 2.0)[index % 4]
             pairs = brute_force_threshold_pairs(series, span, r)
             expected = []
             for word in set(words.tolist()):
                 expected += pair_graph_components(pairs, starts[words == word].tolist())
-            found = group_lists(groups(z_normalize(series), s, span, starts, words, raw, r))
+            found = group_lists(groups(z_normalize(series), span, starts, words, raw, r))
             assert [tuple(group) for group in found] == sorted(expected), (index, r)
 
 
@@ -418,6 +419,14 @@ class TestReferenceMotifs:
         engine = list(run_mta(series, config))
         assert len(engine) == count
         assert engine == list(reference_motifs(series, config))
+
+    def test_threshold_walk_with_small_pair_blocks(self, monkeypatch):
+        # a block of 16 elements joins after a few pairs, so rows retire after
+        # joins on a series small enough for the plain loops
+        monkeypatch.setattr(tracker_module, "_PAIR_BLOCK", 16)
+        series = TimeSeries(np.cumsum(np.random.default_rng(0).standard_normal(360)))
+        config = MtaConfig(SaxConfig(2, 6), 0.5, False)
+        assert list(run_mta(series, config)) == list(reference_motifs(series, config))
 
     def test_reference_matches_exact_oracle(self):
         for index, s, a, series in corpus_instances(count=24):

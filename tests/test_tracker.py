@@ -69,11 +69,11 @@ class TestInitTrackers:
         assert all(mo.point_length == 1 and len(mo.occurrences) == 2 for mo in motifs)
 
 
-def hand_groups(vals, s: int, span: int, starts, r: float) -> list[list[int]]:
+def hand_groups(vals, span: int, starts, r: float) -> list[list[int]]:
     """groups over hand-picked starts of one word, their raw ids numbered by window bytes."""
     vals, starts = np.asarray(vals, dtype=float), np.asarray(starts, dtype=np.intp)
     words, raw = np.zeros(starts.size, dtype=np.int64), window_ids(vals, span)[starts]
-    return group_lists(groups(vals, s, span, starts, words, raw, r))
+    return group_lists(groups(vals, span, starts, words, raw, r))
 
 
 def first_seen(ids) -> list[int]:
@@ -124,13 +124,13 @@ class TestConfirm:
         vals = [float(i) for i in range(60)]
         vals[10:14] = [9.0, 7.0, 9.0, 7.0]
         vals[50:54] = [9.0, 7.0, 9.0, 7.0]
-        assert hand_groups(vals, 4, 4, [10, 50], 0.0) == [[10, 50]]
+        assert hand_groups(vals, 4, [10, 50], 0.0) == [[10, 50]]
 
     def test_differing_pair_rejected(self):
         vals = [float(i) for i in range(60)]
         vals[10:14] = [9.0, 7.0, 9.0, 7.0]
         vals[50:54] = [9.0, 7.0, 9.0, 8.0]
-        assert hand_groups(vals, 4, 4, [10, 50], 0.0) == []
+        assert hand_groups(vals, 4, [10, 50], 0.0) == []
 
     def test_three_way_group(self):
         # mirrors a repeat seen at three distant positions
@@ -138,7 +138,7 @@ class TestConfirm:
         block = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0] * 2
         for start in (387, 620, 669):
             vals[start : start + 20] = block
-        assert hand_groups(vals, 20, 20, [387, 620, 669], 0.0) == [[387, 620, 669]]
+        assert hand_groups(vals, 20, [387, 620, 669], 0.0) == [[387, 620, 669]]
 
     def test_colliding_classes_stay_separate(self):
         # same symbol text over different underlying data: two motifs result
@@ -147,25 +147,25 @@ class TestConfirm:
         vals[10:12] = [1.0, 1.0]
         vals[20:22] = [2.0, 2.0]
         vals[30:32] = [2.0, 2.0]
-        assert hand_groups(vals, 2, 2, [0, 10, 20, 30], 0.0) == [[0, 10], [20, 30]]
+        assert hand_groups(vals, 2, [0, 10, 20, 30], 0.0) == [[0, 10], [20, 30]]
 
     def test_threshold_admits_near_misses(self):
         vals = [0.0] * 40
         vals[10:12] = [1.0, 1.0]
         vals[30:32] = [1.0, 1.05]
-        assert hand_groups(vals, 2, 2, [10, 30], 0.1) == [[10, 30]]
+        assert hand_groups(vals, 2, [10, 30], 0.1) == [[10, 30]]
 
 
 class TestConfirmSharedRounds:
     """One groups call over many words at r > 0 equals a call per word."""
 
     @staticmethod
-    def per_word(vals, s, span, starts, words, raw, r) -> list[list[int]]:
+    def per_word(vals, span, starts, words, raw, r) -> list[list[int]]:
         """The groups of one call per word, ordered by first start."""
         found = []
         for word in set(words.tolist()):
             own = words == word
-            found += group_lists(groups(vals, s, span, starts[own], words[own], raw[own], r))
+            found += group_lists(groups(vals, span, starts[own], words[own], raw[own], r))
         return sorted(found)
 
     def test_hand_built_trackers_of_one_two_three_and_fifty_starts(self):
@@ -181,14 +181,14 @@ class TestConfirmSharedRounds:
         random.Random(5).shuffle(words)
         starts, words, r = np.arange(0, 4 * count, 4), np.array(words), 0.5
         raw = window_ids(vals, span)[starts]
-        found = group_lists(groups(vals, span, span, starts, words, raw, r))
-        assert found == self.per_word(vals, span, span, starts, words, raw, r)
+        found = group_lists(groups(vals, span, starts, words, raw, r))
+        assert found == self.per_word(vals, span, starts, words, raw, r)
         word_of = dict(zip(starts.tolist(), words.tolist()))
         assert all(len({word_of[x] for x in group}) == 1 for group in found)
         assert {word_of[group[0]] for group in found} == {1, 2, 3}
         assert len([group for group in found if word_of[group[0]] == 3]) >= 2
         # the same windows under one word chain across the words' starts
-        merged = hand_groups(vals, span, span, starts, r)
+        merged = hand_groups(vals, span, starts, r)
         assert max(len(group) for group in merged) > max(len(group) for group in found)
 
     @pytest.mark.parametrize("tme", [False, True])
@@ -212,8 +212,8 @@ class TestConfirmSharedRounds:
                     if span // s not in (1, 2, 4):
                         continue
                     sizes_seen.update(np.unique(words, return_counts=True)[1].tolist())
-                    found = group_lists(groups(norm_values, s, span, starts, words, raw, r))
-                    assert found == self.per_word(norm_values, s, span, starts, words, raw, r), (seed, span, r)
+                    found = group_lists(groups(norm_values, span, starts, words, raw, r))
+                    assert found == self.per_word(norm_values, span, starts, words, raw, r), (seed, span, r)
         # a word reaches groups only with two matched starts
         assert {2, 3} <= sizes_seen and max(sizes_seen) >= 50
 
@@ -237,13 +237,14 @@ class TestThresholdBoundary:
             for i in range(len(starts))
             for j in range(i + 1, len(starts))
         )
-        assert hand_groups(vals, span, span, starts, r) == [[a, b]]
-        assert hand_groups(vals, span, span, starts, float(np.nextafter(r, 0))) == []
+        assert hand_groups(vals, span, starts, r) == [[a, b]]
+        assert hand_groups(vals, span, starts, float(np.nextafter(r, 0))) == []
 
-    # A window x and its copy shifted by c: every block mean differs by c, so
-    # the lower bounds equal the distance and only the rounding margin keeps
-    # the pair from being pruned at r = d.  A long lead of non-integer values
-    # gives the running sums of the series large rounding errors.
+    # A window x and its copy shifted by c: their sums differ by span * c, so
+    # the band's lower bound equals the distance, sqrt(span) * c, and only
+    # the rounding margin keeps the pair from being pruned at r = d.  A long
+    # lead of non-integer values gives the prefix sums of the series large
+    # rounding errors.
 
     @staticmethod
     def offset_pairs(span: int, seed: int, lead: int):
@@ -256,24 +257,23 @@ class TestThresholdBoundary:
             yield vals, lead, lead + span + 5
 
     @staticmethod
-    def assert_boundary(vals, s: int, span: int, a: int, b: int) -> None:
+    def assert_boundary(vals, span: int, a: int, b: int) -> None:
         r = euclidean_distance(vals[a : a + span], vals[b : b + span])
-        assert hand_groups(vals, s, span, [a, b], r) == [[a, b]], r
-        assert hand_groups(vals, s, span, [a, b], float(np.nextafter(r, 0))) == [], r
+        assert hand_groups(vals, span, [a, b], r) == [[a, b]], r
+        assert hand_groups(vals, span, [a, b], float(np.nextafter(r, 0))) == [], r
 
     @pytest.mark.parametrize("lead", [0, 20_000])
     @pytest.mark.parametrize("span", [1, 7, 8, 9, 127, 128, 129, 300])
     def test_offset_pair_at_generation_one(self, span, lead):
         for vals, a, b in self.offset_pairs(span, span, lead):
-            self.assert_boundary(vals, span, span, a, b)
+            self.assert_boundary(vals, span, a, b)
 
     @pytest.mark.parametrize("lead", [0, 20_000])
     @pytest.mark.parametrize("s, generation", [(1, 2), (2, 3), (3, 4), (8, 16), (9, 14), (5, 60)])
     def test_offset_pair_at_later_generations(self, s, generation, lead):
-        # one word over the pair; the bound then sums g block terms
         span = s * generation
         for vals, a, b in self.offset_pairs(span, 100 * s + generation, lead):
-            self.assert_boundary(vals, s, span, a, b)
+            self.assert_boundary(vals, span, a, b)
 
 
 class TestWithinDecision:
@@ -637,7 +637,7 @@ class TestPoolPrune:
         series = TimeSeries(values)
         norm, s, r = z_normalize(series), config.sax.symbol_length, config.match_threshold
         calls = groups_calls(series, config)
-        found = [(span, group_lists(groups(norm, s, span, *inputs, r))) for span, *inputs in calls]
+        found = [(span, group_lists(groups(norm, span, *inputs, r))) for span, *inputs in calls]
         pool = len(found[-1][1])
         for (span, shorter), (_, longer) in zip(found, found[1:]):
             bigs = [MemoryMotif("", span + s, tuple(group)) for group in longer]
