@@ -2,24 +2,24 @@
 
 The paper's Motif Tracking Algorithm grows string trackers one symbol per
 generation.  Here the cycle runs on integer classes (Karp-Miller-Rosenberg
-naming): at generation g each start holds a word id, equal for equal words of
-g symbols (g*s points), and a raw-window id, equal for equal raw values; each
-generation refines both by the next s-point block, naming the pairs with one
-argsort and a running count of the sorted run starts.  Generation 1's word
-ids are SymbolMatrix.letters, the SAX bucket indices.  Every step of a
-generation calls numpy's C functions and array methods directly, not its
-Python-level wrappers, whose fixed cost dominates on the few hundred starts
-of a long periodic run.  The trackers are a per-start mask: the word's
-(g-1)-symbol prefix was confirmed at g-1 and its last symbol at generation 1
-(the mutation template).  Words seen at least twice among the candidates,
-thinned by trivial-match elimination, are confirmed against the data: each
-word's starts fall into raw classes, the oracle's exact repeats and at r = 0
-the groups; at r > 0 single-linkage chains the classes whose windows lie
-within r (Euclidean distance, z-normalized units) over one representative
-window per class: the pairs in a tracker's band of window sums, each the
-difference of two prefix sums of the series, are walked by diagonals and
-each decided by one fused product (exactly near r), and a row retires once
-the rest of its band shares its component.
+naming).  A generation's one length is its span, g*s points at generation g:
+each start holds a word id, equal for equal words of that span, and a
+raw-window id, equal for equal raw values; each generation refines both by the
+next s-point block, naming the pairs with one argsort and a running count of
+the sorted run starts.  Generation 1's word ids are SymbolMatrix.letters, the
+SAX bucket indices.  Every step of a generation calls numpy's C functions and
+array methods directly, not its Python-level wrappers, whose fixed cost
+dominates on the few hundred starts of a long periodic run.  The trackers are
+a per-start mask: the word's (g-1)-symbol prefix was confirmed at g-1 and its
+last symbol at generation 1 (the mutation template).  Words seen at least
+twice among the candidates, thinned by trivial-match elimination, are
+confirmed against the data: each word's starts fall into raw classes, the
+oracle's exact repeats and at r = 0 the groups; at r > 0 single-linkage chains
+the classes whose windows lie within r (Euclidean distance, z-normalized
+units) over one representative window per class: the pairs in a tracker's band
+of window sums, each the difference of two prefix sums of the series, are
+walked by diagonals and each decided by one fused product (exactly near r),
+and a row retires once the rest of its band shares its component.
 A generation's groups are one array of starts plus group bounds.  Each is
 stored in the memory pool once the next generation is confirmed, unless any
 next-generation group encapsulates it: covered groups, which streamlining
@@ -67,7 +67,7 @@ class MtaConfig:
 
 @dataclass(frozen=True, eq=False)
 class CandidateMatrix:
-    """A generation's words, one per start i <= m - g*s.
+    """A generation's words, one per start i <= m - span: span, g*s at generation g, is its one length.
 
     Equal ids[i] mean equal symbol words; equal raw[i] equal raw values
     (hence equal words).  words holds the candidate starts, ascending, and
@@ -77,13 +77,8 @@ class CandidateMatrix:
     ids: np.ndarray
     raw: np.ndarray
     words: np.ndarray
-    generation: int
-    symbol_length: int
+    span: int
     count: int
-
-    @property
-    def point_span(self) -> int:
-        return self.generation * self.symbol_length
 
 
 @dataclass(frozen=True)
@@ -164,10 +159,11 @@ def build_candidate_matrix(
 ) -> CandidateMatrix:
     """Assemble the generation's words, optionally applying trivial-match elimination.
 
-    The word at start i concatenates symbols i, i+s, ..., i+(g-1)s.
-    Generation 1's ids are letters (every window's letter index) and blocks
-    (its raw-window id); each later generation refines previous's ids and
-    raw ids by the window after each word, i + (g-1)*s.
+    The word at start i concatenates symbols i, i+s, ..., i+span-s, span
+    points in all.  Generation 1's ids are letters (every window's letter
+    index) and blocks (its raw-window id), its span s; each later generation
+    refines previous's ids and raw ids by the window after each word, at
+    i + previous.span, and spans s points more.
 
     With TME on, a word equal to the last retained one is dropped, at most s
     times in a row: a subsequence may only eliminate windows starting inside
@@ -176,11 +172,12 @@ def build_candidate_matrix(
     """
     s = symbol_length
     if previous is None:
-        generation, ids, raw = 1, letters, blocks
+        span, ids, raw = s, letters, blocks
         count = int(np.maximum.reduce(letters, initial=-1)) + 1
     else:
-        generation = previous.generation + 1
-        n, at = max(previous.ids.size - s, 0), previous.point_span
+        # n is m - span + 1, at least 1: run_mta builds no word longer than m points
+        n, at = previous.ids.size - s, previous.span
+        span = at + s
         ids, count = _refine(previous.ids[:n], letters[at : at + n])
         raw, _ = _refine(previous.raw[:n], blocks[at : at + n])
     starts = np.arange(ids.size)
@@ -190,7 +187,7 @@ def build_candidate_matrix(
         np.not_equal(ids[1:], ids[:-1], out=fresh[1:])
         offset = starts - np.maximum.accumulate(starts * fresh)
         starts = starts[offset % (s + 1) == 0]
-    return CandidateMatrix(ids, raw, starts, generation, s, count)
+    return CandidateMatrix(ids, raw, starts, span, count)
 
 
 def match_trackers(matrix: CandidateMatrix, tracked: np.ndarray) -> np.ndarray:
@@ -212,7 +209,7 @@ def confirm_motifs(
     or more starts, so eliminate_unmatched's count is not applied again.
     values are run_mta's z-normalized series.
     """
-    return groups(values, matrix.point_span, tracked, matrix.ids[tracked], matrix.raw[tracked], threshold)
+    return groups(values, matrix.span, tracked, matrix.ids[tracked], matrix.raw[tracked], threshold)
 
 
 def groups(
@@ -463,11 +460,12 @@ def eliminate_unconfirmed(matrix: CandidateMatrix, found: tuple[np.ndarray, np.n
 def proliferate_and_mutate(matrix: CandidateMatrix, confirmed: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Extend every confirmed tracker by every template symbol; parents do not persist.
 
-    template marks the windows whose letter was confirmed at generation 1.
-    Returns the next tracker mask: start i holds one when its word was
-    confirmed and its next window, i + g*s, is in the template.
+    template marks the windows whose letter was confirmed at generation 1,
+    one per window, m - s + 1 in all.  Returns the next tracker mask: start
+    i holds one when its word was confirmed and its next window, i + span,
+    is in the template.
     """
-    n, at = max(matrix.ids.size - matrix.symbol_length, 0), matrix.point_span
+    n, at = max(template.size - matrix.span, 0), matrix.span
     return confirmed[matrix.ids[:n]] & template[at : at + n]
 
 
@@ -611,7 +609,8 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     generation 1.  Pooled motifs carry no text; the streamlined ones get
     theirs from MotifSet.with_text.
 
-    A generation's groups are stored once the next generation is confirmed,
+    A generation is named by its span, the point length of its words.  Its
+    groups are stored once the next one, s points longer, is confirmed,
     except those any next-generation group encapsulates (_encapsulated):
     streamline would drop them, so covered groups never enter the pool.
     The last generation's groups are stored whole.
@@ -624,8 +623,8 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     trackers = np.ones(letters.size, dtype=bool)
     candidates = template = None
     pool: list[MemoryMotif] = []
-    held = (np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp))  # the groups not yet stored, of held_span points
-    span = held_span = s
+    held = (np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp))  # the groups not yet stored, span - s points long
+    span = s
     while span <= m:
         candidates = build_candidate_matrix(letters, blocks, candidates, s, config.tme_enabled)
         tracked = candidates.words[trackers[candidates.words]]  # the candidate starts holding a tracker
@@ -633,15 +632,15 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
             break
         found = confirm_motifs(candidates, tracked, norm, config.match_threshold)
         confirmed = eliminate_unconfirmed(candidates, found)
-        pool += _memory(held_span, *held, ~_encapsulated(*held, *found, s))
-        held, held_span = found, span
-        if template is None:
-            template = confirmed[letters]
         if found[1].size == 1:  # no group confirmed
             break
+        pool += _memory(span - s, *held, ~_encapsulated(*held, *found, s))
+        held = found
+        if template is None:
+            template = confirmed[letters]
         trackers = proliferate_and_mutate(candidates, confirmed, template)
         span += s
-    pool += _memory(held_span, *held, np.ones(held[1].size - 1, dtype=bool))
+    pool += _memory(span - s, *held, np.ones(held[1].size - 1, dtype=bool))
     return streamline(pool).with_text(matrix)
 
 

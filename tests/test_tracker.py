@@ -360,6 +360,29 @@ class TestConfirmCost:
                 assert computed[span] <= class_pairs, (name, span, computed[span], class_pairs)
 
 
+class TestLabelSkip:
+    """Chaining skips the pairs already in one component before _within sees them.
+
+    Once a join has run, a batch's pairs whose rows share a label are
+    dropped.  Counting the pairs _within receives on a random walk, with
+    small slices so that joins run from early on, bounds the work: without
+    the skip the same run sends 8,600.
+    """
+
+    def test_pairs_sent(self, monkeypatch):
+        sent, within = [0], tracker_module._within
+
+        def counting_within(windows, a, b, threshold):
+            sent[0] += a.size
+            return within(windows, a, b, threshold)
+
+        monkeypatch.setattr(tracker_module, "_PAIR_BLOCK", 16)
+        monkeypatch.setattr(tracker_module, "_within", counting_within)
+        walk = np.cumsum(np.random.default_rng(0).standard_normal(360))
+        run_mta(TimeSeries(walk), MtaConfig(SaxConfig(2, 6), 0.5, False))
+        assert 0 < sent[0] <= 7228
+
+
 class TestMtaConfig:
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="match threshold must be a non-negative number"):
