@@ -20,7 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, _pieces
 
 # `strace -f` without -ff prefixes each line of a child process with [pid N],
 # or, writing to a file (-o), every line with the PID and spaces ("%-5d ").
@@ -58,24 +58,34 @@ def parse_strace_text(text: str) -> tuple[list[str], int, int]:
 
     A call line is decided by the text before its first '(' alone, so the
     pattern runs once per distinct head, and every call of one name shares
-    one string.
+    one string.  The text is parsed a piece at a time, and a piece ends only
+    after a '\n', which ends a line whatever the line break before it; so
+    no line is split, and only one piece's lines are held at once.
     """
-    lines = text.splitlines()
+    return _parse_pieces(_pieces(text))
+
+
+def _parse_pieces(pieces) -> tuple[list[str], int, int]:
+    """parse_strace_text over the lines of pieces of one text, with one head cache."""
     calls: list[str] = []
     append = calls.append
     names: dict[str, str | None] = {}
-    for line in lines:
-        head, paren, _ = line.partition("(")
-        if not paren:
-            continue
-        try:
-            name = names[head]
-        except KeyError:
-            match = _CALL_LINE.match(line)
-            name = names[head] = match.group(1) if match else None
-        if name is not None:
-            append(name)
-    return calls, len(lines), len(lines) - len(calls)
+    total = 0
+    for piece in pieces:
+        lines = piece.splitlines()
+        total += len(lines)
+        for line in lines:
+            head, paren, _ = line.partition("(")
+            if not paren:
+                continue
+            try:
+                name = names[head]
+            except KeyError:
+                match = _CALL_LINE.match(line)
+                name = names[head] = match.group(1) if match else None
+            if name is not None:
+                append(name)
+    return calls, total, total - len(calls)
 
 
 def pid_suffix(path) -> int | None:
@@ -89,12 +99,18 @@ def pid_suffix(path) -> int | None:
 
 
 def parse_strace_file(path) -> tuple[PidTrace, int, int]:
-    """Parse one per-PID trace file named <prefix>.<pid>."""
+    """Parse one per-PID trace file named <prefix>.<pid>, as parse_strace_text does its text.
+
+    The file is read a piece at a time: each piece ends after the last '\n'
+    read so far, and the rest is carried into the next, so no line is split.
+    A leading byte-order mark is skipped, and bytes that are not UTF-8 read
+    as U+FFFD.
+    """
     pid = pid_suffix(path)
     if pid is None:
         raise ValueError(f"trace file name must end in .<pid>: {str(path)!r}")
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        calls, total, skipped = parse_strace_text(fh.read())
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
+        calls, total, skipped = _parse_pieces(_pieces(fh))
     return PidTrace(pid, tuple(calls)), total, skipped
 
 

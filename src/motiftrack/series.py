@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,29 +71,72 @@ def euclidean_distance(x, y) -> float:
     return float(np.sqrt(np.sum((x - y) ** 2)))
 
 
+# characters per piece of text, and values per slice in dump_series_text; tests may lower it
+_PIECE = 1 << 16
+
+
+def _pieces(source):
+    """Yield the text of source, a str or a file open for text, in pieces.
+
+    The text is taken _PIECE characters at a time, and each piece ends right
+    after the last '\n' taken so far; the rest is carried into the next
+    piece.  '\n' always ends a str.splitlines() line, and '\r\n', the one
+    two-character boundary, ends in it, so the pieces' lines are exactly the
+    text's lines.  The last piece is the text after the last '\n', perhaps
+    empty, so a text with no '\n' is one piece.
+    """
+    if isinstance(source, str):
+        chunks = (source[begin : begin + _PIECE] for begin in range(0, len(source), _PIECE))
+    else:
+        chunks = iter(partial(source.read, _PIECE), "")
+    held = []
+    for chunk in chunks:
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            held.append(chunk[:cut])
+            yield "".join(held)
+            held = []
+            chunk = chunk[cut:]
+        held.append(chunk)
+    yield "".join(held)
+
+
 def load_series_text(text: str) -> TimeSeries:
     """Parse the one-number-per-line series format.
 
     Blank lines and lines starting with '#' are ignored.  Values may be
     integers or decimals.  A line that is not a number, or whose value is
     not finite, is reported with its 1-based line number.
+
+    The text is parsed a piece at a time, and a piece ends only after a
+    '\n', which ends a line whatever the line break before it; so no line is
+    split, and only one piece's lines are held as strings at once.
     """
-    lines = text.splitlines()
-    try:
-        # the usual file: every line a bare number, parsed without a list of floats
-        arr = np.fromiter(map(float, lines), np.float64, count=len(lines))
-    except ValueError:
-        arr = np.fromiter((value for _, _, value in _numbered(lines)), np.float64)
+    parts = []
+    before = 0  # lines in the pieces already parsed
+    for piece in _pieces(text):
+        lines = piece.splitlines()
+        try:
+            # the usual file: every line a bare number, parsed without a list of floats
+            parts.append(np.fromiter(map(float, lines), np.float64, count=len(lines)))
+        except ValueError:
+            parts.append(np.fromiter((value for _, _, value in _numbered(lines, before)), np.float64))
+        before += len(lines)
+    arr = np.concatenate(parts)
     if not np.isfinite(arr).all():
         # only the error path pays a second pass, to find the line
+        lines = (line for piece in _pieces(text) for line in piece.splitlines())
         lineno, line, _ = next(entry for entry in _numbered(lines) if not math.isfinite(entry[2]))
         raise ValueError(f"line {lineno}: not a finite number: {line!r}")
     return TimeSeries(arr)
 
 
-def _numbered(lines):
-    """Yield (line number from 1, stripped line, value) per line that is not blank or a '#' comment."""
-    for lineno, raw in enumerate(lines, start=1):
+def _numbered(lines, before=0):
+    """Yield (line number, stripped line, value) per line that is not blank or a '#' comment.
+
+    Line numbers count from before + 1.
+    """
+    for lineno, raw in enumerate(lines, start=before + 1):
         line = raw.strip()
         if line and not line.startswith("#"):
             try:
@@ -108,13 +152,21 @@ def load_series_file(path) -> TimeSeries:
 
 
 def dump_series_text(values) -> str:
-    """Render values in the series file format, integers without a decimal point."""
+    """Render values in the series file format, integers without a decimal point.
+
+    The values are formatted _PIECE at a time and the pieces joined, so only
+    one slice's Python numbers exist at once.
+    """
     arr = np.asarray(values, dtype=np.float64)
     integral = np.isfinite(arr) & (arr == np.trunc(arr))
-    if integral.all() and (np.abs(arr) < 2.0**63).all():
-        # what ingest writes: one C-level format over int64s
-        return ("%d\n" * arr.size) % tuple(arr.astype(np.int64).tolist()) or "\n"
-    # %d prints an integral float as its integer; %r gives the shortest round-trip
-    # repr.  Each format is 3 bytes, so the S3 array's bytes are the whole template.
-    template = np.where(integral, b"%d\n", b"%r\n").tobytes().decode("ascii")
-    return template % tuple(arr.tolist())
+    # what ingest writes: %d over int64s, each slice cast on its own
+    cast = integral.all() and (np.abs(arr) < 2.0**63).all()
+    pieces = []
+    for begin in range(0, arr.size, _PIECE):
+        part = slice(begin, begin + _PIECE)
+        numbers = arr[part].astype(np.int64) if cast else arr[part]
+        # %d prints an integral float as its integer; %r gives the shortest round-trip
+        # repr.  Each format is 3 bytes, so the S3 array's bytes are the slice's template.
+        template = np.where(integral[part], b"%d\n", b"%r\n").tobytes().decode("ascii")
+        pieces.append(template % tuple(numbers.tolist()))
+    return "".join(pieces) or "\n"

@@ -21,6 +21,8 @@ from motiftrack.ingest import (
     pid_suffix,
 )
 
+from motiftrack import series as series_module
+
 from conftest import DATA_DIR
 
 STRACE_DIR = DATA_DIR / "strace"
@@ -81,6 +83,17 @@ strace_like_text = st.lists(
               st.sampled_from(LINE_BREAKS)),
     max_size=20,
 ).map(lambda rows: "".join(line + brk for line, brk in rows))
+
+
+# byte pieces of trace files: every line break in UTF-8, with '\r' and '\n'
+# also apart, a byte-order mark whole and cut short, an invalid byte, a
+# truncated 3-byte sequence, call lines, and a filler that carries files past
+# the 8,192 bytes CPython's text files decode at a time
+BYTE_PIECES = [brk.encode() for brk in LINE_BREAKS] + [
+    b"\r", b"\n", b"\xef\xbb\xbf", b"\xef\xbb", b"\xff", b"\xe2\x80",
+    b"read(", b"[pid 4] ", b"9 ", b"open(3) = 1", "\u00e9(".encode(), b" ", b"--- SIGCHLD ---",
+    b"#" * 8190,
+]
 
 
 class TestParse:
@@ -172,6 +185,13 @@ class TestParse:
         with pytest.raises(ValueError, match="must end in .<pid>"):
             parse_strace_file(path)
 
+    def test_file_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "trace.7"
+        path.write_bytes(b'\xef\xbb\xbfexecve("/bin/ls", ["ls"], 0x7ffd) = 0\nbrk(NULL) = 0x55\n')
+        trace, total, skipped = parse_strace_file(path)
+        assert trace.calls == ("execve", "brk")
+        assert (total, skipped) == (2, 0)
+
     def test_pid_suffix(self):
         assert pid_suffix("trace.2001") == 2001
         assert pid_suffix("dir.v2/trace.7") == 7
@@ -183,6 +203,11 @@ class TestParse:
         assert trace.pid == 2001
         assert (total, skipped) == (11, 3)
         assert trace.calls[:3] == ("execve", "brk", "open")
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("traces")
 
 
 class TestParseReference:
@@ -197,6 +222,29 @@ class TestParseReference:
     @given(st.text())
     def test_arbitrary_text(self, text):
         assert parse_strace_text(text) == reference_parse(text)
+
+    # pieces of a few characters put piece ends inside and between every kind of line
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(strace_like_text, st.text()))
+    def test_small_pieces(self, piece, text):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series_module, "_PIECE", piece)
+            assert parse_strace_text(text) == reference_parse(text)
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 8, 1 << 16])
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(BYTE_PIECES), max_size=30).map(b"".join))
+    def test_file_matches_whole_text(self, trace_dir, piece, data):
+        path = trace_dir / "trace.7"
+        path.write_bytes(data)
+        # the whole file decoded at once, as parse_strace_file read it before it
+        # read in pieces, and with a leading byte-order mark skipped
+        want = reference_parse(path.read_text(encoding="utf-8-sig", errors="replace"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series_module, "_PIECE", piece)
+            trace, total, skipped = parse_strace_file(path)
+        assert (list(trace.calls), total, skipped) == want
 
     @pytest.mark.parametrize("brk", LINE_BREAKS)
     def test_every_line_break(self, brk):

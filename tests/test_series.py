@@ -15,6 +15,7 @@ from motiftrack import (
     load_series_text,
     z_normalize,
 )
+from motiftrack import series as series_module
 
 
 def reference_load(text):
@@ -31,6 +32,23 @@ def reference_load(text):
     if not values:
         raise ValueError("empty input")
     return values
+
+
+def assert_load_matches_reference(text):
+    """load_series_text gives reference_load's values, or raises its error."""
+    try:
+        want = reference_load(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            load_series_text(text)
+        return
+    if not all(map(math.isfinite, want)):
+        # "1e1_000" overflows to inf; the reference left that to TimeSeries
+        with pytest.raises(ValueError, match=r"^line \d+: not a finite number: "):
+            load_series_text(text)
+        return
+    got = load_series_text(text).values
+    assert got.tobytes() == (np.array(want) + 0.0).tobytes()
 
 
 def reference_dump(values):
@@ -258,19 +276,45 @@ class TestSeriesFiles:
     @settings(max_examples=300, deadline=None)
     @given(series_like_text)
     def test_load_matches_reference(self, text):
-        try:
-            want = reference_load(text)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                load_series_text(text)
-            return
-        if not all(map(math.isfinite, want)):
-            # "1e1_000" overflows to inf; the reference left that to TimeSeries
-            with pytest.raises(ValueError, match=r"^line \d+: not a finite number: "):
-                load_series_text(text)
-            return
-        got = load_series_text(text).values
-        assert got.tobytes() == (np.array(want) + 0.0).tobytes()
+        assert_load_matches_reference(text)
+
+    # pieces of a few characters put piece ends inside and between every kind of line
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
+    @settings(max_examples=100, deadline=None)
+    @given(series_like_text)
+    def test_load_matches_reference_in_small_pieces(self, piece, text):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series_module, "_PIECE", piece)
+            assert_load_matches_reference(text)
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
+    @pytest.mark.parametrize("text", ["", "a", "\n", "ab\r\ncd\re\x0bf\n\ngh", "\r\n\r\n\r", "x" * 20 + "\n"])
+    def test_pieces_end_right_after_a_newline(self, monkeypatch, piece, text):
+        monkeypatch.setattr(series_module, "_PIECE", piece)
+        pieces = list(series_module._pieces(text))
+        assert "".join(pieces) == text
+        # every piece but the last ends in a '\n'; the last holds none
+        assert all(p.endswith("\n") for p in pieces[:-1])
+        assert "\n" not in pieces[-1]
+        assert [line for p in pieces for line in p.splitlines()] == text.splitlines()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("oops", "not a number: 'oops'"),
+        ("-inf", "not a finite number: '-inf'"),
+    ])
+    def test_error_in_a_later_piece_names_its_line_in_the_file(self, tmp_path, bad, message):
+        # 60,000 lines of 2 characters fill more than one piece of the real size
+        lines = ["7"] * 60_000 + ["# c", "", bad, "8"]
+        assert len("\n".join(lines)) > series_module._PIECE
+        path = tmp_path / "series.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^line 60003: {re.escape(message)}$"):
+            load_series_file(path)
+
+    def test_garbage_in_a_later_piece_reported_before_an_earlier_nonfinite(self, monkeypatch):
+        monkeypatch.setattr(series_module, "_PIECE", 4)
+        with pytest.raises(ValueError, match="^line 6: not a number: 'x'$"):
+            load_series_text("1\nnan\n2\n3\n4\nx\n5\n")
 
     @pytest.mark.parametrize("values", [
         EDGE_FLOATS,
