@@ -4,8 +4,10 @@ The exact finder shares no search machinery with the engine: repeats are
 located by hashing raw subsequences, not by symbol matching, so agreement
 between the two is a meaningful correctness check.  reference_motifs spells
 out what the engine computes in every mode, in plain loops over symbol
-strings, with no vectorised code shared with the engine.  Clarity beats
-speed here by design; the finders are meant for desk-size instances.
+strings, with no vectorised code shared with the engine.  Both streamline
+their pools with reference_streamline, which compares every pair of motifs,
+not with the engine's indexed streamline.  Clarity beats speed here by
+design; the finders are meant for desk-size instances.
 """
 
 from __future__ import annotations
@@ -14,7 +16,32 @@ import numpy as np
 
 from .sax import ALPHABET, gaussian_breakpoints, window_symbol
 from .series import TimeSeries, euclidean_distance, z_normalize
-from .tracker import MemoryMotif, MotifSet, MtaConfig, streamline
+from .tracker import MemoryMotif, MotifSet, MtaConfig
+
+
+def reference_covers(big: MemoryMotif, small: MemoryMotif) -> bool:
+    """Whether big is at least as long as small and each of small's intervals lies inside one of big's."""
+    return big.point_length >= small.point_length and all(
+        any(b <= o and o + small.point_length <= b + big.point_length for b in big.occurrences)
+        for o in small.occurrences
+    )
+
+
+def reference_streamline(pool) -> list[MemoryMotif]:
+    """The engine's streamline by its definition, comparing every pair of motifs.
+
+    Longest first, richer occurrence sets first among equal lengths, a motif
+    is kept unless a kept one covers it; the kept motifs are returned
+    longest first, then by occurrences.
+    """
+    motifs = sorted(
+        set(pool), key=lambda mo: (-mo.point_length, -len(mo.occurrences), mo.occurrences, mo.text)
+    )
+    retained: list[MemoryMotif] = []
+    for mot in motifs:
+        if not any(reference_covers(keep, mot) for keep in retained):
+            retained.append(mot)
+    return sorted(retained, key=lambda mo: (-mo.point_length, mo.occurrences, mo.text))
 
 
 def _enumerate_repeats(series: TimeSeries, step: int, min_separation: int) -> MotifSet:
@@ -41,7 +68,7 @@ def _enumerate_repeats(series: TimeSeries, step: int, min_separation: int) -> Mo
             # sound prune: a repeat at L+step implies its length-L prefix repeats
             break
         length += step
-    return streamline(pool)
+    return MotifSet(tuple(reference_streamline(pool)))
 
 
 def brute_force_exact_motifs(
@@ -157,4 +184,4 @@ def reference_motifs(series: TimeSeries, config: MtaConfig) -> MotifSet:
         letters = grouped if letters is None else letters
         formed = grouped
         length += s
-    return streamline(pool)
+    return MotifSet(tuple(reference_streamline(pool)))

@@ -17,9 +17,12 @@ confirmed against the data: each word's starts fall into raw classes, the
 oracle's exact repeats and at r = 0 the groups; at r > 0 single-linkage chains
 the classes whose windows lie within r (Euclidean distance, z-normalized
 units) over one representative window per class: the pairs in a tracker's band
-of window sums, each the difference of two prefix sums of the series, are
-walked by diagonals and each decided by one fused product (exactly near r),
-and a row retires once the rest of its band shares its component.
+are walked by diagonals and each decided by one fused product (exactly near
+r), and a row retires once the rest of its band shares its component.  The
+band bounds the distance by one key per tracker: the window sums, or the
+windows' projections on a ramp inside each block where those spread the
+tracker's windows more; each key is the difference of two rows of one prefix
+table, built once per run.
 A generation's groups are one array of starts plus group bounds.  Each is
 stored in the memory pool once the next generation is confirmed, unless any
 next-generation group encapsulates it: covered groups, which streamlining
@@ -201,15 +204,20 @@ def eliminate_unmatched(counts: np.ndarray) -> np.ndarray:
 
 
 def confirm_motifs(
-    matrix: CandidateMatrix, tracked: np.ndarray, values: np.ndarray, threshold: float
+    matrix: CandidateMatrix,
+    tracked: np.ndarray,
+    values: np.ndarray,
+    threshold: float,
+    prefixes: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Confirm the tracked candidate starts against the data: groups over them.
 
     A word matched only once yields no group, as groups keeps groups of two
     or more starts, so eliminate_unmatched's count is not applied again.
-    values are run_mta's z-normalized series.
+    values are run_mta's z-normalized series and prefixes their
+    band_prefixes at its block length, built once per run (None at r = 0).
     """
-    return groups(values, matrix.span, tracked, matrix.ids[tracked], matrix.raw[tracked], threshold)
+    return groups(values, matrix.span, tracked, matrix.ids[tracked], matrix.raw[tracked], threshold, prefixes)
 
 
 def groups(
@@ -219,6 +227,7 @@ def groups(
     words: np.ndarray,
     raw: np.ndarray,
     threshold: float,
+    prefixes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The confirmed groups among candidate starts, each a tracker's stimulation.
 
@@ -227,11 +236,18 @@ def groups(
     A positive threshold is the one difference between the modes:
     _chain_labels then joins the classes of one word single-linkage,
     span-point windows of values chained by Euclidean distances within it.
+    prefixes are band_prefixes(values, s) at a block length s that divides
+    span, which decide only which pairs are measured; without them the
+    bands are keyed as at s = 1, on window sums alone.
     Returns (members, bounds): group k is members[bounds[k]:bounds[k + 1]],
     ascending, one per group of two or more starts, the groups ordered by
     first start; one word can have several.
     """
-    labels = raw if threshold <= 0 else _chain_labels(values, span, starts, words, raw, threshold)
+    if threshold <= 0:
+        labels = raw
+    else:
+        prefixes = band_prefixes(values, 1) if prefixes is None else prefixes
+        labels = _chain_labels(values, prefixes, span, starts, words, raw, threshold)
     order = np.lexsort((starts, labels))
     labels, starts = labels[order], starts[order]
     edge = np.empty(labels.size + 1, dtype=bool)  # where a run of equal labels starts or ends
@@ -257,6 +273,29 @@ _GATHER = 1 << 18
 def _rows(array: np.ndarray, at: np.ndarray) -> np.ndarray:
     """array[at] along axis 0 by take, the faster gather, where array is contiguous (take copies any other whole)."""
     return array.take(at, axis=0) if array.flags.c_contiguous else array[at]
+
+
+def band_prefixes(values: np.ndarray, s: int) -> np.ndarray:
+    """The prefix table of the two band keys at block length s: row p holds (T[p], R[p]), p = 0 .. m.
+
+    T[p] is the sum of values[:p], so a window's sum is T[i + span] -
+    T[i].  R steps by s: R[p] = 0 for p < s and R[p + s] = R[p] + c[p],
+    c[p] being the s points at p projected on the centred ramp k - (s - 1)/2,
+    k < s, scaled so that its squares sum to s (np.correlate).  So
+    R[i + span] - R[i] projects a window of span = g*s points on that ramp
+    tiled over its g blocks, whose norm is sqrt(span), the norm of the
+    all-ones vector that gives the sum; the scale, sqrt(12 / (s*s - 1)), does
+    not depend on g.  At s = 1 the ramp is 0, and so is every R.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    m = values.size
+    table = np.zeros((-(-(m + 1) // s) * s, 2))  # whole blocks of s rows
+    values.cumsum(out=table[1 : m + 1, 0])
+    ramp = (np.arange(s) - (s - 1) / 2) * math.sqrt(12 / max(s * s - 1, 1))
+    table[s : m + 1, 1] = np.correlate(values, ramp, "valid")
+    steps = table[:, 1].reshape(-1, s)  # row q, column k is R's term at q*s + k
+    steps.cumsum(axis=0, out=steps)
+    return table[: m + 1]
 
 
 def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
@@ -293,7 +332,13 @@ def _within(windows: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float)
 
 
 def _chain_labels(
-    values: np.ndarray, span: int, starts: np.ndarray, words: np.ndarray, raw: np.ndarray, threshold: float
+    values: np.ndarray,
+    prefixes: np.ndarray,
+    span: int,
+    starts: np.ndarray,
+    words: np.ndarray,
+    raw: np.ndarray,
+    threshold: float,
 ) -> np.ndarray:
     """Single-linkage group labels of every tracker's starts.
 
@@ -303,18 +348,30 @@ def _chain_labels(
     representative start per class stands for all its members: their
     distances to any window are its distances, bit for bit.
 
-    The representatives are sorted by tracker, then by window sum, and
-    their windows gathered in that order while they fit in _GATHER
-    elements; past that they stay strided views of values, indexed through
-    the representatives' starts, so no generation holds more than a slice's
-    windows.  One lower bound prunes pairs (Keogh et al. 2001): a pair's
-    distance is at least |S_i - S_j| / sqrt(span), S being the window sums,
-    so row i pairs only with rows i + 1 .. i + gap[i] - 1 of its tracker,
-    the band.  Each window sum is the difference of two prefix sums of
-    values, one running sum per call.  A running sum of k terms errs by at
-    most about k * eps * sum|v|, so no key is off by more than about
-    2m * eps * sum|v| on m values; the band's margin covers that and the
-    distance's rounding, so every d <= r decision is still
+    One lower bound prunes pairs: a window's projection on any vector u is
+    within |u| * d of another's, d their distance (Faloutsos et al. 1994),
+    and each representative has two such keys, both with |u| = sqrt(span),
+    read from prefixes (band_prefixes) as differences of two rows: its
+    window sum (Keogh et al. 2001) and its projection on the centred ramp
+    tiled over its g = span / s blocks.  A word fixes every block's mean to
+    one letter's bucket, so its window sums barely differ, and the ramp
+    keys the slope inside each block, which the word leaves free.  Each
+    tracker keys on the ramp where it varies more among its n
+    representatives, n * n times the variance being n * sum(k * k) -
+    sum(k) ** 2 from bincounts, and its standard deviation exceeds a quarter
+    of the band's reach, r * sqrt(span) plus the margin; below that either
+    band holds about the whole tracker, and the sum keeps its order.
+    The representatives are sorted by tracker, then by that key, and their
+    windows gathered in that order while they fit in _GATHER elements; past
+    that they stay strided views of values, indexed through the
+    representatives' starts, so no generation holds more than a slice's
+    windows.  Row i pairs only with rows i + 1 .. i + gap[i] - 1 of its
+    tracker, those whose key is within r * sqrt(span) of its own: the band.
+    A running sum of k terms errs by at most about k * eps * sum|v|, and a
+    ramp product by about s * eps times the sum of its |v|, each ramp
+    weight below sqrt(3), so no key is off by more than about
+    4m * eps * sum|v| on m values; the band's margin covers both keys and
+    the distance's rounding, so every d <= r decision is still
     euclidean_distance's, in _within.  run_mta passes z-normalized values,
     whose squares sum to at most m, so their sum|v| is at most m.  The
     keys may differ between bit-equal windows, which sax's letters may not
@@ -348,35 +405,47 @@ def _chain_labels(
     inverse = picked.searchsorted(seen[raw])  # each start's class
     values = np.ascontiguousarray(values, dtype=np.float64)
     step = values.strides[0]
-    # every span-point window as a row of a strided view, and the prefix sums of values
+    # every span-point window as a row of a strided view
     windows = np.ndarray((values.size - span + 1, span), values.dtype, values, 0, (step, step))
-    total = np.zeros(values.size + 1)
-    values.cumsum(out=total[1:])
-    # the margin: a pair's difference of sums errs by about 4m * eps * sum|v|,
-    # euclidean_distance's d by about (span + 3) * eps times d, and adding
-    # limit to a sum rounds by eps more; limit covers each twice
+    # the margin: a pair's difference of either key errs by about 7m * eps * sum|v|,
+    # euclidean_distance's d by about (span + 3) * eps times d, the ramp's norm by
+    # a few eps, and adding limit to a key rounds by eps more; limit covers each twice
     eps = sys.float_info.epsilon
     limit = threshold * math.sqrt(span) * (1 + 4 * (span + 3) * eps)
-    limit += 8 * (values.size + 2) * eps * float(np.add.reduce(np.abs(values)))
-    # representatives by tracker, then window sum, their windows gathered in that order if they fit
+    limit += 16 * (values.size + 2) * eps * float(np.add.reduce(np.abs(values)))
+    # each representative's window sum and ramp key, and whether its tracker keys on the ramp
     rep = starts[picked]
-    sums = total[rep + span] - total[rep]
-    order = np.lexsort((sums, tracker))
-    rep, tracker, sums = rep[order], tracker[order], sums[order]
+    keys = _rows(prefixes, rep + span)
+    keys -= _rows(prefixes, rep)
+    sums, ramps = keys.T
+    key = sums
+    # no tracker's ramp keys spread past a quarter of the band when all lie within half of it
+    if np.maximum.reduce(ramps) - np.minimum.reduce(ramps) > limit / 2:
+        count = np.bincount(tracker)
+        spread = count * np.bincount(tracker, ramps * ramps) - np.square(np.bincount(tracker, ramps))
+        ramped = spread > count * np.bincount(tracker, sums * sums) - np.square(np.bincount(tracker, sums))
+        ramped &= spread / (limit * limit / 16) > np.square(count)  # 0 > count ** 2 where limit ** 2 overflows
+        key = np.where(ramped[tracker], ramps, sums)
+    # representatives by tracker, then key, their windows gathered in that order if they
+    # fit; a quicksort of the keys, then a stable sort of their trackers, takes about half
+    # of np.lexsort's time, whose stable sort of float keys is the slow part
+    order = key.argsort()
+    order = order[tracker[order].argsort(kind="stable")]
+    rep, tracker, key = rep[order], tracker[order], key[order]
     gathered = rep.size * span <= _GATHER
     if gathered:
         windows = windows[rep]
     # row i pairs representative i with the later ones of its tracker whose
-    # sum lies within the band: one search on (tracker, rank of the sum)
+    # key lies within the band: one search on (tracker, rank of the key)
     n, rows = rep.size, np.arange(rep.size)
-    ranked = sums.copy()
+    ranked = key.copy()
     ranked.sort()
     base = tracker * (n + 1)
-    key = base + ranked.searchsorted(sums)
-    top = base + ranked.searchsorted(sums + limit, side="right")
+    rank = base + ranked.searchsorted(key)
+    top = base + ranked.searchsorted(key + limit, side="right")
     # live rows with their band's width, narrowest first, so the spent rows
     # are always a prefix: row i's partners are i + 1 .. i + gap[i] - 1
-    gap = key.searchsorted(top) - rows
+    gap = rank.searchsorted(top) - rows
     live = gap.argsort()
     gap = gap[live]
     block = max(1, _PAIR_BLOCK // span)
@@ -620,6 +689,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
     matrix = build_symbol_matrix(norm, config.sax)
     letters = matrix.letters
     blocks = _window_ids(series.values, s)
+    prefixes = band_prefixes(norm, s) if config.match_threshold > 0 else None
     trackers = np.ones(letters.size, dtype=bool)
     candidates = template = None
     pool: list[MemoryMotif] = []
@@ -630,7 +700,7 @@ def run_mta(series: TimeSeries, config: MtaConfig) -> MotifSet:
         tracked = candidates.words[trackers[candidates.words]]  # the candidate starts holding a tracker
         if not eliminate_unmatched(match_trackers(candidates, tracked)).size:
             break
-        found = confirm_motifs(candidates, tracked, norm, config.match_threshold)
+        found = confirm_motifs(candidates, tracked, norm, config.match_threshold, prefixes)
         confirmed = eliminate_unconfirmed(candidates, found)
         if found[1].size == 1:  # no group confirmed
             break

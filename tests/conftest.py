@@ -149,9 +149,9 @@ def groups_calls(series: TimeSeries, config: MtaConfig) -> list[tuple[int, np.nd
     """The (span, starts, words, raw) of each groups call one run_mta run makes, a call per generation."""
     calls, inner = [], tracker_module.groups
 
-    def recording(values, span, starts, words, raw, threshold):
+    def recording(values, span, starts, words, raw, threshold, prefixes=None):
         calls.append((span, starts, words, raw))
-        return inner(values, span, starts, words, raw, threshold)
+        return inner(values, span, starts, words, raw, threshold, prefixes)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tracker_module, "groups", recording)

@@ -420,6 +420,14 @@ class TestReferenceMotifs:
         assert len(engine) == count
         assert engine == list(reference_motifs(series, config))
 
+    @pytest.mark.parametrize("tme", [False, True])
+    def test_threshold_call_ids(self, tme):
+        # discrete calls: letters fix every block's mean, so most words key
+        # their bands on the ramp inside their blocks, not on window sums
+        series = TimeSeries(np.random.default_rng(0).integers(0, 40, 400).astype(float))
+        config = MtaConfig(SaxConfig(3, 10), 0.5, tme)
+        assert list(run_mta(series, config)) == list(reference_motifs(series, config))
+
     def test_threshold_walk_with_small_pair_blocks(self, monkeypatch):
         # a block of 16 elements joins after a few pairs, so rows retire after
         # joins on a series small enough for the plain loops

@@ -26,6 +26,7 @@ from motiftrack import (
     streamline,
     z_normalize,
 )
+from motiftrack.oracle import reference_covers, reference_streamline
 from motiftrack.tracker import groups
 
 from conftest import (
@@ -276,6 +277,53 @@ class TestThresholdBoundary:
             self.assert_boundary(vals, span, a, b)
 
 
+class TestRampBoundary:
+    """The ramp key's band holds a pair at distance exactly r.
+
+    A window x and x + c * u, u being the unit block ramp (the centred ramp
+    k - (s - 1)/2 over each block, normalized over the window): their sums
+    are equal, so the tracker keys on the ramp, and the pair's ramp keys
+    differ by sqrt(span) * c, exactly the band's reach at r = d.  Only the
+    rounding margin keeps the pair from being pruned; a long lead of
+    non-integer values gives the prefix tables large rounding errors.
+    """
+
+    @staticmethod
+    def ramp_pairs(s: int, span: int, seed: int, lead: int):
+        """Series each holding x at a and x + c * u after lead points near 3, with a and b."""
+        rng = np.random.default_rng(seed)
+        ramp = np.tile(np.arange(s) - (s - 1) / 2, span // s)
+        ramp /= np.sqrt(ramp @ ramp)
+        head = 3.0 + rng.standard_normal(lead)
+        for c in 0.25 + rng.random(6):
+            x = rng.standard_normal(span)
+            vals = np.concatenate([head, x, rng.standard_normal(5), x + c * ramp, rng.standard_normal(3)])
+            yield vals, lead, lead + span + 5
+
+    @staticmethod
+    def assert_boundary(vals, s: int, span: int, a: int, b: int) -> None:
+        prefixes = tracker_module.band_prefixes(vals, s)
+        starts = np.array([a, b])
+        words, raw = np.zeros(2, dtype=np.int64), np.arange(2)
+        r = euclidean_distance(vals[a : a + span], vals[b : b + span])
+        assert group_lists(groups(vals, span, starts, words, raw, r, prefixes)) == [[a, b]], r
+        below = float(np.nextafter(r, 0))
+        assert group_lists(groups(vals, span, starts, words, raw, below, prefixes)) == [], r
+
+    @pytest.mark.parametrize("lead", [0, 20_000])
+    @pytest.mark.parametrize("s", [2, 3, 7, 8, 9, 127, 128, 129, 300])
+    def test_ramp_pair_at_generation_one(self, s, lead):
+        for vals, a, b in self.ramp_pairs(s, s, s, lead):
+            self.assert_boundary(vals, s, s, a, b)
+
+    @pytest.mark.parametrize("lead", [0, 20_000])
+    @pytest.mark.parametrize("s, generation", [(2, 2), (2, 3), (3, 4), (8, 16), (9, 14), (5, 60)])
+    def test_ramp_pair_at_later_generations(self, s, generation, lead):
+        span = s * generation
+        for vals, a, b in self.ramp_pairs(s, span, 100 * s + generation, lead):
+            self.assert_boundary(vals, s, span, a, b)
+
+
 class TestWithinDecision:
     """_within's fused sums decide every pair as euclidean_distance does.
 
@@ -383,6 +431,28 @@ class TestLabelSkip:
         assert 0 < sent[0] <= 7228
 
 
+class TestBandKeyWork:
+    """On discrete input the ramp key leaves most pairs out of the band.
+
+    Letters fix every block's mean, so one word's window sums barely
+    differ: with every band keyed on window sums the run below sends
+    144,727 pairs to _within, and with each tracker keyed on the ramp where
+    it spreads more, 37,025.
+    """
+
+    def test_pairs_sent_on_call_ids(self, monkeypatch):
+        sent, within = [0], tracker_module._within
+
+        def counting_within(windows, a, b, threshold):
+            sent[0] += a.size
+            return within(windows, a, b, threshold)
+
+        monkeypatch.setattr(tracker_module, "_within", counting_within)
+        calls = np.random.default_rng(0).integers(0, 40, 2000).astype(float)
+        run_mta(TimeSeries(calls), MtaConfig(SaxConfig(3, 10), 0.5, False))
+        assert 0 < sent[0] <= 72_000
+
+
 class TestMtaConfig:
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="match threshold must be a non-negative number"):
@@ -442,25 +512,6 @@ class TestStreamline:
         ]
         out = streamline(pool)
         assert motif_signature(out) == [(4, (100, 200)), (2, (5, 90)), (2, (30, 60))]
-
-
-def reference_covers(big, small) -> bool:
-    return big.point_length >= small.point_length and all(
-        any(b <= o and o + small.point_length <= b + big.point_length for b in big.occurrences)
-        for o in small.occurrences
-    )
-
-
-def reference_streamline(pool) -> list:
-    """streamline by its definition, comparing every pair of motifs."""
-    motifs = sorted(
-        set(pool), key=lambda mo: (-mo.point_length, -len(mo.occurrences), mo.occurrences, mo.text)
-    )
-    retained = []
-    for mot in motifs:
-        if not any(reference_covers(keep, mot) for keep in retained):
-            retained.append(mot)
-    return sorted(retained, key=lambda mo: (-mo.point_length, mo.occurrences, mo.text))
 
 
 occurrence_lists = st.lists(st.integers(0, 40), min_size=1, max_size=6)
